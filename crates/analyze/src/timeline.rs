@@ -6,6 +6,7 @@
 //! hand-off event tells how long the *queue* (rather than the backoff)
 //! held it.
 
+use pdpa_metrics::nearest_rank;
 use pdpa_obs::{ObsEvent, TimedEvent};
 use pdpa_sim::JobId;
 use std::collections::BTreeMap;
@@ -100,21 +101,10 @@ impl SlowdownDist {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("slowdowns are finite"));
-        // Nearest rank in exact integer arithmetic: rank = ⌈percent·n/100⌉,
-        // clamped into [1, n]. The float form `(q * n).ceil()` overshoots
-        // whenever the product rounds just above an integer (0.9 × 70 =
-        // 63.000000000000016 → rank 64 instead of 63), silently reporting
-        // a deeper tail value than asked for.
-        let rank = |percent: usize| {
-            let idx = (percent * sorted.len())
-                .div_ceil(100)
-                .clamp(1, sorted.len());
-            sorted[idx - 1]
-        };
         Some(SlowdownDist {
-            p50: rank(50),
-            p90: rank(90),
-            p99: rank(99),
+            p50: nearest_rank(&sorted, 0.5),
+            p90: nearest_rank(&sorted, 0.9),
+            p99: nearest_rank(&sorted, 0.99),
             max: *sorted.last().expect("non-empty"),
         })
     }

@@ -35,6 +35,7 @@
 //! ```
 
 pub mod config;
+mod coordinator;
 pub mod engine;
 pub mod instrument;
 pub mod result;
@@ -44,7 +45,8 @@ pub mod store;
 pub mod timeshare;
 
 pub use config::EngineConfig;
-pub use engine::{CancelOutcome, Engine};
+pub use coordinator::CancelOutcome;
+pub use engine::Engine;
 pub use instrument::Instrumentation;
 pub use result::RunResult;
 pub use session::EngineSession;

@@ -4,9 +4,8 @@
 //! completion in one call. A resident daemon needs the opposite shape —
 //! an engine that *stays alive*, admits jobs as they arrive over the
 //! wire, and advances simulated time in slices paced against the wall
-//! clock. [`EngineSession`] is that shape: it owns the full simulation
-//! state (`Sim<'static>` with an owned observer), and exposes three
-//! primitives:
+//! clock. [`EngineSession`] is that shape: it owns a classic coordinator
+//! outright (observer included) and exposes three primitives:
 //!
 //! - [`submit`](EngineSession::submit) — admit a job at instant `at`;
 //! - [`cancel`](EngineSession::cancel) — remove a queued or running job;
@@ -33,20 +32,21 @@
 use pdpa_apps::ApplicationSpec;
 use pdpa_obs::Observer;
 use pdpa_policies::SchedulingPolicy;
-use pdpa_prof::{HealthSnapshot, Lane};
+use pdpa_prof::{HealthSnapshot, Profiler};
 use pdpa_sim::{JobId, QueueStats, SimTime};
 
 use crate::config::EngineConfig;
-use crate::engine::{ObsSink, Sim};
+use crate::coordinator::{Coordinator, ObsSink};
 use crate::result::RunResult;
+use crate::store::JobStore;
 
-pub use crate::engine::CancelOutcome;
+pub use crate::coordinator::CancelOutcome;
 
 /// A long-lived, incrementally driven engine run.
 ///
 /// See the [module docs](self) for the determinism contract.
 pub struct EngineSession {
-    sim: Sim<'static>,
+    sim: Coordinator<'static, JobStore>,
     policy: Box<dyn SchedulingPolicy>,
     policy_name: String,
     /// The furthest instant the session has been driven to — op instants
@@ -85,12 +85,13 @@ impl EngineSession {
         }
         let sharing = policy.sharing();
         let policy_name = policy.name().to_string();
-        let sim = Sim::new(
+        let sim = Coordinator::new(
             &config,
             Vec::new(),
             sharing,
             ObsSink::Owned(observer),
-            Lane::disabled(),
+            Profiler::disabled(1),
+            JobStore::new(),
         );
         Ok(EngineSession {
             sim,
@@ -106,7 +107,8 @@ impl EngineSession {
     /// which makes replay a fixed point.
     pub fn submit(&mut self, at: SimTime, app: ApplicationSpec) -> (SimTime, JobId) {
         let at = self.advance_cursor(at);
-        let job = self.sim.submit_at(at, app, self.policy.as_mut());
+        self.run_due(at);
+        let job = self.sim.submit(at, app);
         (at, job)
     }
 
@@ -116,7 +118,12 @@ impl EngineSession {
     /// [`submit`]: EngineSession::submit
     pub fn cancel(&mut self, at: SimTime, job: JobId) -> (SimTime, CancelOutcome) {
         let at = self.advance_cursor(at);
-        let outcome = self.sim.cancel_at(at, job, self.policy.as_mut());
+        self.run_due(at);
+        let due = self.clamp(at);
+        if self.sim.clock < due {
+            self.sim.clock = due;
+        }
+        let outcome = self.sim.cancel(job, self.policy.as_mut());
         (at, outcome)
     }
 
@@ -124,13 +131,33 @@ impl EngineSession {
     /// behind the cursor); returns the number of events handled.
     pub fn run_until(&mut self, t: SimTime) -> u64 {
         let t = self.advance_cursor(t);
-        self.sim.run_due(t, self.policy.as_mut())
+        self.run_due(t)
     }
 
     /// Runs the session to quiescence: every event up to the configured
     /// `max_sim_secs` horizon. Returns the number of events handled.
     pub fn drain(&mut self) -> u64 {
-        self.run_until(SimTime::from_secs(self.sim.config().max_sim_secs))
+        self.run_until(SimTime::from_secs(self.sim.config.max_sim_secs))
+    }
+
+    /// Handles every event due at or before `barrier` (clamped to the
+    /// `max_sim_secs` horizon); returns the number handled. Every op runs
+    /// this first, so event-queue sequence numbers — and therefore pop
+    /// order on ties — are a pure function of the op sequence.
+    fn run_due(&mut self, barrier: SimTime) -> u64 {
+        let barrier = self.clamp(barrier);
+        let mut steps = 0;
+        while let Some((t, ev)) = self.sim.events.pop_due(barrier) {
+            self.sim.clock = t;
+            steps += 1;
+            self.sim.dispatch(ev, self.policy.as_mut());
+        }
+        steps
+    }
+
+    /// `t`, clamped to the `max_sim_secs` horizon.
+    fn clamp(&self, t: SimTime) -> SimTime {
+        t.min(SimTime::from_secs(self.sim.config.max_sim_secs))
     }
 
     fn advance_cursor(&mut self, at: SimTime) -> SimTime {
@@ -148,12 +175,12 @@ impl EngineSession {
 
     /// The simulation clock (the instant of the last processed event).
     pub fn clock(&self) -> SimTime {
-        self.sim.clock()
+        self.sim.clock
     }
 
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
-        self.sim.config()
+        &self.sim.config
     }
 
     /// The scheduling policy's display name.
@@ -164,51 +191,43 @@ impl EngineSession {
     /// Event-queue traffic counters — part of a snapshot's integrity
     /// check: a restored session must reproduce them exactly.
     pub fn queue_stats(&self) -> QueueStats {
-        self.sim.queue_stats()
+        self.sim.events.stats()
     }
 
     /// Jobs submitted over the session's lifetime.
     pub fn total_jobs(&self) -> usize {
-        self.sim.qs().total_jobs()
+        self.sim.qs.total_jobs()
     }
 
     /// Jobs waiting in the admission queue.
     pub fn waiting_count(&self) -> usize {
-        self.sim.qs().waiting_count()
+        self.sim.qs.waiting_count()
     }
 
     /// Jobs currently running.
     pub fn running_count(&self) -> usize {
-        self.sim.running_count()
+        self.sim.host.len()
     }
 
     /// Jobs completed.
     pub fn completed_count(&self) -> usize {
-        self.sim.qs().completed_count()
+        self.sim.qs.completed_count()
     }
 
     /// Jobs failed terminally (cancellations included).
     pub fn failed_count(&self) -> usize {
-        self.sim.qs().failed_count()
+        self.sim.qs.failed_count()
     }
 
     /// True when every submitted job has completed or failed.
     pub fn all_done(&self) -> bool {
-        self.sim.qs().all_done()
+        self.sim.qs.all_done()
     }
 
     /// A health snapshot in the same shape the batch engine feeds to
     /// heartbeats and live taps.
     pub fn health_snapshot(&self) -> HealthSnapshot {
-        let stats = self.queue_stats();
-        HealthSnapshot {
-            sim_clock_secs: self.clock().as_secs(),
-            events_popped: stats.popped,
-            queue_len: stats.len,
-            running: self.running_count(),
-            waiting: self.waiting_count(),
-            shard_events: Vec::new(),
-        }
+        self.sim.health_snapshot()
     }
 
     /// Closes the session and returns the run result over everything

@@ -18,10 +18,10 @@
 //! bounded multiprogramming level run in O(peak ML) memory regardless of
 //! trace length.
 
-use pdpa_apps::{ApplicationSpec, PhaseChange, Progress, SpeedupMemo};
+use pdpa_apps::{ApplicationSpec, NoiseModel, PhaseChange, Progress, SpeedupMemo};
 use pdpa_perf::{PerfSample, SelfAnalyzer};
 use pdpa_policies::JobView;
-use pdpa_sim::{JobId, SimDuration, SimRng, SimTime};
+use pdpa_sim::{EventQueue, JobId, SimDuration, SimRng, SimTime};
 
 /// Sentinel in the slot map for "not running".
 const VACANT: u32 = u32::MAX;
@@ -39,8 +39,21 @@ pub struct JobCold {
     /// Memoized integer points of `spec.speedup`.
     pub speedup_memo: SpeedupMemo,
     /// The job's private timing-noise stream (used by the sharded
-    /// engine; the classic engine draws from its global stream).
+    /// engine; the classic engine draws from its shared stream).
     pub rng: SimRng,
+}
+
+/// What closing a job's iteration window measured (see
+/// [`JobStore::end_iteration`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IterationEnd {
+    /// Iteration boundaries crossed by the advance.
+    pub crossed: u32,
+    /// `(procs, measured_secs)` of a clean finished iteration; `None` when
+    /// nothing was crossed or the window mixed two allocations.
+    pub measured: Option<(usize, f64)>,
+    /// The SelfAnalyzer's estimate, once it has one.
+    pub sample: Option<PerfSample>,
 }
 
 /// Memo statistics harvested when a job leaves the store.
@@ -414,6 +427,84 @@ impl JobStore {
     pub fn time_to_iteration_end(&self, job: JobId) -> Option<SimDuration> {
         let s = self.slot(job);
         self.progress[s].time_to_iteration_end(self.rate[s])
+    }
+
+    /// Replaces `job`'s pending iteration-end prediction in `queue` (keyed
+    /// by job id) with `payload` at the next boundary, measured from `now`
+    /// at the current rate. A job that already crossed its final boundary
+    /// gets an event at `now`, so its completion path still runs; a
+    /// stalled job gets none.
+    pub fn repredict<E>(&self, job: JobId, now: SimTime, queue: &mut EventQueue<E>, payload: E) {
+        let key = u64::from(job.0);
+        queue.invalidate_key(key);
+        let at = if self.is_complete(job) {
+            now
+        } else if let Some(dt) = self.time_to_iteration_end(job) {
+            // `dt` is positive but can be sub-ULP at a large clock, making
+            // `now + dt` round back onto `now` — the event would then
+            // advance nothing and reschedule itself forever. The next
+            // representable instant still covers the true boundary.
+            let at = now + dt;
+            if at == now {
+                now.next_up()
+            } else {
+                at
+            }
+        } else {
+            return;
+        };
+        queue.push_keyed(at, key, payload);
+    }
+
+    /// Advances `job` to `at` and closes its measurement window if that
+    /// crossed an iteration boundary. A clean window is timed, perturbed
+    /// by `noise` with draws from `rng` (the job's private stream when
+    /// `None`), and fed to the SelfAnalyzer; a window that straddled an
+    /// allocation change is discarded and restarted. Crossing into a new
+    /// working-set phase resets the analyzer when `reset_on_phase_change`
+    /// is set — after recording, since the finished iteration belongs to
+    /// the old phase (§3.1).
+    pub fn end_iteration(
+        &mut self,
+        job: JobId,
+        at: SimTime,
+        noise: &NoiseModel,
+        rng: Option<&mut SimRng>,
+        reset_on_phase_change: bool,
+    ) -> IterationEnd {
+        let crossed = self.advance_to(job, at);
+        let mut end = IterationEnd {
+            crossed,
+            ..IterationEnd::default()
+        };
+        if crossed == 0 {
+            return end;
+        }
+        if self.iter_polluted(job) {
+            self.set_iter_polluted(job, false);
+            self.set_iter_started_at(job, at);
+        } else {
+            let truth = at.since(self.iter_started_at(job));
+            let per_iter = truth / crossed as f64;
+            self.set_iter_started_at(job, at);
+            let procs = self.effective_procs(job);
+            let measured = match rng {
+                Some(rng) => noise.perturb(per_iter, rng),
+                None => noise.perturb(per_iter, self.rng_mut(job)),
+            };
+            end.sample = self.record_iteration(job, procs, measured);
+            end.measured = Some((procs, measured.as_secs()));
+        }
+        if reset_on_phase_change {
+            if let Some(pc) = self.phase_change(job) {
+                let done = self.iterations_done(job);
+                if done >= pc.at_iteration && done - crossed < pc.at_iteration {
+                    self.reset_analyzer(job);
+                    end.sample = None;
+                }
+            }
+        }
+        end
     }
 
     /// Average processors held over the job's lifetime so far.

@@ -12,5 +12,5 @@ pub mod summary;
 pub mod table;
 
 pub use outcome::JobOutcome;
-pub use summary::{ClassAverages, Summary};
+pub use summary::{nearest_rank, ClassAverages, Summary};
 pub use table::{format_row, improvement_pct, TableBuilder};

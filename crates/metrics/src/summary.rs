@@ -122,8 +122,7 @@ impl Summary {
             .map(|o| o.response_time().as_secs())
             .collect();
         times.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-        let rank = ((q * times.len() as f64).ceil() as usize).clamp(1, times.len());
-        Some(times[rank - 1])
+        Some(nearest_rank(&times, q))
     }
 
     /// Classes present in the summary, in paper order.
@@ -133,6 +132,29 @@ impl Summary {
             .filter(|&c| self.outcomes.iter().any(|o| o.class == c))
             .collect()
     }
+}
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of an ascending, non-empty sample by
+/// nearest rank: the value at rank ⌈q·n⌉ clamped into `[1, n]`, so every
+/// answer is an observed value.
+///
+/// The rank is computed in integer arithmetic with `q` resolved to parts
+/// per million. The float form `(q * n).ceil()` overshoots whenever the
+/// product rounds just above an integer (0.07 × 100 = 7.000000000000001
+/// → rank 8 instead of 7), silently reporting a deeper tail value than
+/// asked for.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty or `q` is outside `[0, 1]`.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+    const PARTS: u64 = 1_000_000;
+    let n = sorted.len() as u64;
+    assert!(n > 0, "quantile of an empty sample");
+    let parts = (q * PARTS as f64).round() as u64;
+    let rank = (parts * n).div_ceil(PARTS).clamp(1, n);
+    sorted[rank as usize - 1]
 }
 
 #[cfg(test)]
@@ -204,5 +226,24 @@ mod tests {
         assert_eq!(s.response_quantile_secs(0.5), Some(105.0));
         assert_eq!(s.response_quantile_secs(1.0), Some(140.0));
         assert_eq!(Summary::new(Vec::new()).response_quantile_secs(0.5), None);
+    }
+
+    #[test]
+    fn quantile_rank_does_not_overshoot_on_float_products() {
+        // 0.07 × 100 = 7.000000000000001 and 0.9 × 70 = 63.000000000000016
+        // in floating point; nearest rank must still pick the 7th and 63rd
+        // order statistics.
+        let responses = |n: u32| {
+            Summary::new(
+                (1..=n)
+                    .map(|i| outcome(i, AppClass::Apsi, 0.0, 0.0, f64::from(i)))
+                    .collect(),
+            )
+        };
+        assert_eq!(responses(100).response_quantile_secs(0.07), Some(7.0));
+        assert_eq!(responses(70).response_quantile_secs(0.9), Some(63.0));
+        assert_eq!(responses(100).response_quantile_secs(0.95), Some(95.0));
+        assert_eq!(nearest_rank(&[1.0, 2.0, 3.0], 0.0), 1.0);
+        assert_eq!(nearest_rank(&[1.0, 2.0, 3.0], 1.0), 3.0);
     }
 }

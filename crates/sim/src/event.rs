@@ -24,8 +24,8 @@ use std::collections::{BinaryHeap, HashMap};
 use crate::time::SimTime;
 
 /// A point-in-time snapshot of a queue's traffic counters, as returned by
-/// the `stats()` method on every queue implementation. Health monitors
-/// sample these per shard each heartbeat instead of calling four getters.
+/// [`EventQueue::stats`]. Health monitors sample these per shard each
+/// heartbeat instead of calling four getters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Total events pushed over the queue's lifetime.
@@ -168,69 +168,47 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The timestamp of the earliest live event, or `None` when none is
+    /// pending. Stale keyed heads are discarded first and counted exactly
+    /// like the discards inside [`pop`](Self::pop), so the answer never
+    /// depends on which invalidated entries happen to still be buried.
+    pub fn peek_live_time(&mut self) -> Option<SimTime> {
+        loop {
+            let head = self.heap.peek()?;
+            if !self.is_stale(head) {
+                return Some(head.at);
+            }
+            self.heap.pop();
+            self.popped += 1;
+            self.stale += 1;
+        }
+    }
+
     /// Removes and returns the earliest live event, or `None` when empty.
     /// Stale keyed entries are discarded along the way; discards count
     /// toward [`total_popped`](Self::total_popped) and
     /// [`stale_drops`](Self::stale_drops).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let stale = self.heap.peek().map(|e| self.is_stale(e))?;
-            let e = self.heap.pop().expect("peeked entry exists");
-            self.popped += 1;
-            if stale {
-                self.stale += 1;
-                continue;
-            }
-            return Some((e.at, e.payload));
-        }
+        self.peek_live_time()?;
+        Some(self.take_head())
     }
 
     /// Removes and returns the earliest live event whose timestamp is at
     /// or before `t`, or `None` when the earliest live event is after `t`
-    /// (or the queue is empty). Stale keyed heads are discarded along the
-    /// way even when they sit before `t`, so a caller draining events up
-    /// to a barrier never observes a stale head's earlier timestamp the
-    /// way [`peek_time`](Self::peek_time) can report it.
+    /// (or the queue is empty). Stale heads are discarded along the way,
+    /// as in [`peek_live_time`](Self::peek_live_time).
     pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let head = self.heap.peek()?;
-            if self.is_stale(head) {
-                self.heap.pop();
-                self.popped += 1;
-                self.stale += 1;
-                continue;
-            }
-            if head.at > t {
-                return None;
-            }
-            let e = self.heap.pop().expect("peeked entry exists");
-            self.popped += 1;
-            return Some((e.at, e.payload));
+        if self.peek_live_time()? > t {
+            return None;
         }
+        Some(self.take_head())
     }
 
-    /// Removes and returns the earliest live event for which `valid` also
-    /// holds, discarding invalid ones along the way; `None` when the queue
-    /// runs out.
-    ///
-    /// Key-stale entries are skipped by [`pop`](Self::pop) underneath;
-    /// this adds a payload-level predicate on top for callers with their
-    /// own validity notion. Discarded events still count toward
-    /// [`total_popped`](Self::total_popped).
-    pub fn pop_valid(&mut self, mut valid: impl FnMut(&E) -> bool) -> Option<(SimTime, E)> {
-        loop {
-            let (at, payload) = self.pop()?;
-            if valid(&payload) {
-                return Some((at, payload));
-            }
-        }
-    }
-
-    /// The timestamp of the earliest pending entry — possibly a stale one
-    /// (a stale head is discarded only when popped, so `peek_time` may be
-    /// earlier than what [`pop`](Self::pop) returns).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+    /// Removes the head, which the caller has checked is live.
+    fn take_head(&mut self) -> (SimTime, E) {
+        let e = self.heap.pop().expect("live head exists");
+        self.popped += 1;
+        (e.at, e.payload)
     }
 
     /// Number of pending entries, stale ones included.
@@ -268,38 +246,6 @@ impl<E> EventQueue<E> {
             stale_drops: self.stale,
             len: self.len(),
         }
-    }
-
-    /// Decomposes the queue into its raw state — pending entries as
-    /// `(at, seq, key, payload)` in unspecified order, key generations,
-    /// and the sequence/traffic counters — so another implementation
-    /// (the calendar queue) can take over mid-stream without disturbing
-    /// pop order or statistics.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_raw_parts(
-        self,
-    ) -> (
-        Vec<(SimTime, u64, Option<(u64, u64)>, E)>,
-        HashMap<u64, u64>,
-        u64,
-        u64,
-        u64,
-        u64,
-    ) {
-        let entries = self
-            .heap
-            .into_vec()
-            .into_iter()
-            .map(|e| (e.at, e.seq, e.key, e.payload))
-            .collect();
-        (
-            entries,
-            self.generations,
-            self.next_seq,
-            self.pushed,
-            self.popped,
-            self.stale,
-        )
     }
 }
 
@@ -352,7 +298,7 @@ mod tests {
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(t(4.0), ());
-        assert_eq!(q.peek_time(), Some(t(4.0)));
+        assert_eq!(q.peek_live_time(), Some(t(4.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
@@ -369,23 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn pop_valid_skips_stale_entries() {
-        let mut q = EventQueue::new();
-        q.push(t(1.0), "stale");
-        q.push(t(2.0), "live");
-        q.push(t(3.0), "stale");
-        assert_eq!(q.pop_valid(|e| *e != "stale"), Some((t(2.0), "live")));
-        assert_eq!(q.pop_valid(|e| *e != "stale"), None);
-        // Discards still count as pops.
-        assert_eq!(q.total_popped(), 3);
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn empty_queue_pops_none() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
+        assert!(q.peek_live_time().is_none());
         assert!(q.is_empty());
     }
 
@@ -477,13 +410,12 @@ mod tests {
     #[test]
     fn pop_due_discards_stale_heads_without_over_advancing() {
         let mut q = EventQueue::new();
-        // A stale entry sits at t=1 while the earliest live event is t=5;
-        // peek_time would report 1.0, but pop_due(2.0) must drop the stale
-        // head and report nothing due rather than return the t=5 event.
+        // A stale entry sits at t=1 while the earliest live event is t=5:
+        // pop_due(2.0) must drop the stale head and report nothing due
+        // rather than return the t=5 event.
         q.push_keyed(t(1.0), 7, "stale");
         q.push(t(5.0), "live");
         q.invalidate_key(7);
-        assert_eq!(q.peek_time(), Some(t(1.0)), "stale head shows early time");
         assert_eq!(q.pop_due(t(2.0)), None);
         assert_eq!(q.stale_drops(), 1);
         assert_eq!(q.pop_due(t(5.0)), Some((t(5.0), "live")));
@@ -491,18 +423,18 @@ mod tests {
     }
 
     #[test]
-    fn pop_valid_composes_with_key_staleness() {
+    fn live_peek_discards_stale_heads_like_pop() {
         let mut q = EventQueue::new();
-        q.push_keyed(t(1.0), 3, "stale");
-        q.push(t(2.0), "rejected");
-        q.push_keyed(t(3.0), 4, "live");
-        q.invalidate_key(3);
-        assert_eq!(
-            q.pop_valid(|e| *e != "rejected"),
-            Some((t(3.0), "live")),
-            "skips both the key-stale and the predicate-rejected entry"
-        );
-        assert_eq!(q.stale_drops(), 1);
-        assert_eq!(q.total_popped(), 3);
+        q.push_keyed(t(1.0), 7, "stale");
+        q.push_keyed(t(2.0), 8, "stale too");
+        q.push(t(5.0), "live");
+        q.invalidate_key(7);
+        q.invalidate_key(8);
+        assert_eq!(q.peek_live_time(), Some(t(5.0)), "stale heads never show");
+        assert_eq!(q.stale_drops(), 2);
+        assert_eq!(q.total_popped(), 2, "discards count as pops");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_live_time(), Some(t(5.0)), "idempotent once live");
+        assert_eq!(q.total_popped(), 2);
     }
 }

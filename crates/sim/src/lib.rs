@@ -6,10 +6,8 @@
 //! - [`SimTime`] / [`SimDuration`] — the simulated clock (seconds, `f64`).
 //! - [`SimRng`] — a small deterministic SplitMix64-based random number
 //!   generator, so every experiment is reproducible from a seed.
-//! - [`EventQueue`] — a stable priority queue of timestamped events.
-//! - [`CalendarQueue`] / [`AdaptiveQueue`] — a bucketed O(1)-amortized
-//!   variant of the same queue API, and the wrapper that switches to it
-//!   automatically once the backlog is large enough to warrant it.
+//! - [`EventQueue`] — a stable binary-heap priority queue of timestamped
+//!   events with keyed lazy invalidation; every engine runs on it.
 //! - [`Machine`] — a CC-NUMA machine model (SGI Origin 2000-like: two CPUs
 //!   per node) with affinity-preserving cpuset assignment and migration
 //!   accounting.
@@ -21,7 +19,6 @@
 
 #![deny(missing_docs)]
 
-pub mod calendar;
 pub mod cost;
 pub mod event;
 pub mod ids;
@@ -29,7 +26,6 @@ pub mod machine;
 pub mod rng;
 pub mod time;
 
-pub use calendar::{AdaptiveQueue, CalendarQueue};
 pub use cost::CostModel;
 pub use event::{EventQueue, QueueStats};
 pub use ids::{CpuId, JobId};
