@@ -10,6 +10,7 @@ use crate::series::{cpu_series, mpl_stats, CpuSeries, MplStats};
 use crate::stability::{migration_stats, MigrationStats};
 use crate::states::{time_in_state, StateBreakdown};
 use crate::timeline::{job_timelines, summarize, JobTimeline, TimelineStats};
+use pdpa_obs::json::{fmt_f64, Quoted};
 use pdpa_obs::{ObsEvent, TimedEvent};
 use pdpa_sim::JobId;
 use std::collections::BTreeMap;
@@ -257,44 +258,14 @@ pub fn analysis_json(runs: &[(String, RunAnalysis)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", json_string(key), analysis.to_json());
+        let _ = write!(out, "{}:{}", Quoted(key), analysis.to_json());
     }
     out.push_str("}}");
     out
 }
 
-/// Formats an f64 as a JSON number (JSON has no NaN/∞; clamp to 0).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 fn push_num(out: &mut String, key: &str, v: f64) {
     let _ = write!(out, "\"{}\":{},", key, fmt_f64(v));
-}
-
-/// Escapes a string into a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use pdpa_bench::json::{parse, Value};
+use pdpa_obs::json::{parse, Value};
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("validate-obs: FAILED: {message}");

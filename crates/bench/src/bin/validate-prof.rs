@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
-use pdpa_bench::json::{parse, Value};
+use pdpa_obs::json::{parse, Value};
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("validate-prof: FAILED: {message}");

@@ -29,10 +29,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::experiments::chaos;
-use crate::json::Value;
 use pdpa_analyze::{RunAnalysis, SlowdownDist};
 use pdpa_core::Pdpa;
 use pdpa_engine::{Engine, EngineConfig};
+use pdpa_obs::json::Value;
 use pdpa_obs::RecordingObserver;
 use pdpa_policies::{
     EqualEfficiency, Equipartition, GangScheduler, HeSrpt, LearnedAlloc, OptSplit, RigidFirstFit,
@@ -480,7 +480,7 @@ mod tests {
             ..TournamentConfig::default()
         };
         let t = run_tournament(&config);
-        let doc = crate::json::parse(&t.render_json()).expect("own JSON parses");
+        let doc = pdpa_obs::json::parse(&t.render_json()).expect("own JSON parses");
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),
             Some("pdpa-tournament/v1")

@@ -33,9 +33,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use crate::experiments::{self, Experiment};
-use crate::json;
 use crate::stats;
 use crate::trajectory::{BenchReport, ExperimentTiming, ModeReport};
+use pdpa_obs::json;
 use pdpa_obs::metrics::Registry;
 use pdpa_obs::{chrome_trace, collector, metrics_json, mpl_series_csv, scope};
 

@@ -36,7 +36,6 @@ use pdpa_qs::Workload;
 
 pub mod experiments;
 pub mod harness;
-pub mod json;
 pub mod regression;
 pub mod stats;
 pub mod trajectory;

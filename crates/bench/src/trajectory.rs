@@ -13,8 +13,8 @@
 //! events_per_sec)`, so the file accumulates a real performance trajectory
 //! across commits for `bench-compare` to gate on.
 
-use crate::json::{parse, Value};
 use crate::stats::Snapshot;
+use pdpa_obs::json::{parse, Value};
 
 /// Schema tag written at the top of the document. `v3` adds the
 /// append-only `trajectory` array; `v2` added the optional per-mode

@@ -20,15 +20,15 @@
 //! Rejected submissions are never journaled — backpressure leaves no
 //! trace in the simulation, so it must leave none in the journal.
 //!
-//! The format is a single JSON document (one per file), written with the
-//! workspace's hand-rolled escaping and parsed with
-//! [`pdpa_watch::json::Json`]. Like the wire protocol it evolves
+//! The format is a single JSON document (one per file), written and
+//! parsed with the workspace's one JSON codec, [`pdpa_obs::json`]. Like
+//! the wire protocol it evolves
 //! additively: readers ignore unknown fields, and `format`/`proto`
 //! mismatches fail loudly instead of guessing.
 
 use std::fmt::Write as _;
 
-use pdpa_watch::json::{fmt_f64, push_str_escaped, Json};
+use pdpa_obs::json::{self, fmt_f64, push_str_escaped, Value};
 use pdpa_watch::PROTO_VERSION;
 
 /// Magic format tag; the first field of every snapshot file.
@@ -92,31 +92,31 @@ impl Op {
         }
     }
 
-    fn parse(doc: &Json) -> Result<Op, String> {
+    fn parse(doc: &Value) -> Result<Op, String> {
         let kind = doc
             .get("op")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or("op entry missing 'op'")?;
         let at_secs = doc
             .get("at_secs")
-            .and_then(Json::as_f64)
+            .and_then(Value::as_f64)
             .ok_or("op entry missing 'at_secs'")?;
         match kind {
             "submit" => Ok(Op::Submit {
                 at_secs,
                 class: doc
                     .get("class")
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .ok_or("submit op missing 'class'")?
                     .to_string(),
-                request: doc.get("request").and_then(Json::as_u64),
-                work_secs: doc.get("work_secs").and_then(Json::as_f64),
+                request: doc.get("request").and_then(Value::as_u64),
+                work_secs: doc.get("work_secs").and_then(Value::as_f64),
             }),
             "cancel" => Ok(Op::Cancel {
                 at_secs,
                 job: doc
                     .get("job")
-                    .and_then(Json::as_u64)
+                    .and_then(Value::as_u64)
                     .ok_or("cancel op missing 'job'")?,
             }),
             other => Err(format!("unknown op kind '{other}'")),
@@ -233,10 +233,10 @@ impl Snapshot {
     /// Parses a snapshot document, refusing unknown formats and frames
     /// from a newer protocol than this build speaks.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let doc = Json::parse(text.trim_end())?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         let format = doc
             .get("format")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or("snapshot missing 'format'")?;
         if format != SNAPSHOT_FORMAT {
             return Err(format!(
@@ -245,7 +245,7 @@ impl Snapshot {
         }
         let proto = doc
             .get("proto")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or("snapshot missing 'proto'")?;
         if proto > PROTO_VERSION {
             return Err(format!(
@@ -256,30 +256,30 @@ impl Snapshot {
         let config = SnapshotConfig {
             policy: cfg
                 .get("policy")
-                .and_then(Json::as_str)
+                .and_then(Value::as_str)
                 .ok_or("config missing 'policy'")?
                 .to_string(),
             cpus: cfg
                 .get("cpus")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or("config missing 'cpus'")? as usize,
             seed: cfg
                 .get("seed")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or("config missing 'seed'")?,
-            backfill: matches!(cfg.get("backfill"), Some(Json::Bool(true))),
+            backfill: matches!(cfg.get("backfill"), Some(Value::Bool(true))),
             max_sim_secs: cfg
                 .get("max_sim_secs")
-                .and_then(Json::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or("config missing 'max_sim_secs'")?,
         };
         let barrier_secs = doc
             .get("barrier_secs")
-            .and_then(Json::as_f64)
+            .and_then(Value::as_f64)
             .ok_or("snapshot missing 'barrier_secs'")?;
         let ops = doc
             .get("ops")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_arr)
             .ok_or("snapshot missing 'ops'")?
             .iter()
             .map(Op::parse)
@@ -287,7 +287,7 @@ impl Snapshot {
         let chk = doc.get("check").ok_or("snapshot missing 'check'")?;
         let count = |key: &str| -> Result<u64, String> {
             chk.get(key)
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("check missing '{key}'"))
         };
         let check = SnapshotCheck {
@@ -300,13 +300,13 @@ impl Snapshot {
             jobs_failed: count("jobs_failed")?,
             clock_secs: chk
                 .get("clock_secs")
-                .and_then(Json::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or("check missing 'clock_secs'")?,
         };
         Ok(Snapshot {
             proto,
             config,
-            draining: matches!(doc.get("draining"), Some(Json::Bool(true))),
+            draining: matches!(doc.get("draining"), Some(Value::Bool(true))),
             barrier_secs,
             ops,
             check,
@@ -368,6 +368,24 @@ mod tests {
         assert!(text.ends_with('\n'));
         let back = Snapshot::parse(&text).expect("round trip");
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn a_40k_op_snapshot_parses_in_linear_time() {
+        let mut snap = sample();
+        snap.ops = (0..40_000)
+            .map(|i| Op::Submit {
+                at_secs: i as f64 * 0.5,
+                class: "hydro2d".to_string(),
+                request: Some(8),
+                work_secs: Some(2000.0),
+            })
+            .collect();
+        let text = snap.to_json();
+        let started = std::time::Instant::now();
+        assert_eq!(Snapshot::parse(&text).expect("parses"), snap);
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "took {took:?}");
     }
 
     #[test]

@@ -9,58 +9,47 @@
 //! timeline reads directly as simulated seconds.
 
 use crate::event::{ObsEvent, TimedEvent};
+use crate::json::Quoted;
 use std::collections::BTreeMap;
-use std::fmt::Write;
-
-/// Escapes `s` as the inside of a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use std::fmt;
 
 /// Simulated seconds → trace microseconds.
 fn us(secs: f64) -> f64 {
     secs * 1e6
 }
 
-struct EventWriter {
+/// Writes a `{"traceEvents":[...]}` document one event object at a time,
+/// one event per line. Both the decision-stream export here and
+/// `pdpa-prof`'s span export are built on it.
+pub struct TraceEventWriter {
     out: String,
     first: bool,
 }
 
-impl EventWriter {
-    fn new() -> Self {
+impl Default for TraceEventWriter {
+    fn default() -> Self {
         Self {
             out: String::from("{\"traceEvents\":[\n"),
             first: true,
         }
     }
+}
 
-    /// Appends one raw trace-event object (without braces).
-    fn push(&mut self, body: String) {
+impl TraceEventWriter {
+    /// Appends one trace-event object; `body` is its fields without the
+    /// enclosing braces.
+    pub fn push(&mut self, body: fmt::Arguments<'_>) {
         if !self.first {
             self.out.push_str(",\n");
         }
         self.first = false;
         self.out.push('{');
-        self.out.push_str(&body);
+        let _ = fmt::Write::write_fmt(&mut self.out, body);
         self.out.push('}');
     }
 
-    fn finish(mut self) -> String {
+    /// Closes the event array and returns the document.
+    pub fn finish(mut self) -> String {
         self.out.push_str("\n]}\n");
         self.out
     }
@@ -70,13 +59,13 @@ impl EventWriter {
 /// events)` pairs as drained from the collector; run keys become process
 /// names, jobs become threads.
 pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
-    let mut w = EventWriter::new();
+    let mut w = TraceEventWriter::default();
     for (pid0, (key, events)) in runs.iter().enumerate() {
         let pid = pid0 + 1;
-        w.push(format!(
+        w.push(format_args!(
             "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}",
-            esc(key)
+             \"args\":{{\"name\":{}}}",
+            Quoted(key)
         ));
         // Open B spans per tid, so every span gets a matching E even when
         // a run ends with jobs still in flight.
@@ -88,7 +77,7 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
             match &te.event {
                 ObsEvent::JobStarted { job, request } => {
                     let tid = job.0 as u64 + 1;
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"job {}\",\"ph\":\"B\",\"ts\":{ts},\"pid\":{pid},\
                          \"tid\":{tid},\"args\":{{\"request\":{request}}}",
                         job.0
@@ -98,7 +87,7 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                 ObsEvent::JobFinished { job } => {
                     let tid = job.0 as u64 + 1;
                     if open.remove(&tid).is_some() {
-                        w.push(format!(
+                        w.push(format_args!(
                             "\"ph\":\"E\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
                         ));
                     }
@@ -115,7 +104,7 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                         Some((from, to)) => format!(",\"transition\":\"{from}->{to}\""),
                         None => String::new(),
                     };
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"decision {}->{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":{tid},\"args\":{{\"trigger\":\"{}\",\
                          \"from\":{from_alloc},\"to\":{to_alloc}{tr}}}",
@@ -126,7 +115,7 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                 }
                 ObsEvent::StateChanged { job, from, to } => {
                     let tid = job.0 as u64 + 1;
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"state {from}->{to}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":{tid},\"args\":{{\"from\":\"{from}\",\"to\":\"{to}\"}}"
                     ));
@@ -138,7 +127,7 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                     lost,
                 } => {
                     let tid = job.0 as u64 + 1;
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"realloc cost\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":{tid},\"args\":{{\"penalty_secs\":{penalty_secs},\
                          \"gained\":{gained},\"lost\":{lost}}}"
@@ -148,27 +137,27 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                     running,
                     total_alloc,
                 } => {
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"mpl\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":0,\
                          \"args\":{{\"running\":{running},\"allocated\":{total_alloc}}}"
                     ));
                 }
                 ObsEvent::CpuFailed { cpu } => {
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"cpu{} failed\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":0,\"args\":{{\"cpu\":{}}}",
                         cpu.0, cpu.0
                     ));
                 }
                 ObsEvent::CpuRecovered { cpu } => {
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"cpu{} recovered\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":0,\"args\":{{\"cpu\":{}}}",
                         cpu.0, cpu.0
                     ));
                 }
                 ObsEvent::DegradedCapacity { alive, total } => {
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"capacity\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":0,\
                          \"args\":{{\"alive\":{alive},\"dead\":{}}}",
                         total - alive
@@ -183,11 +172,11 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                     // JobStarted opens a fresh one.
                     let tid = job.0 as u64 + 1;
                     if open.remove(&tid).is_some() {
-                        w.push(format!(
+                        w.push(format_args!(
                             "\"ph\":\"E\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
                         ));
                     }
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"retry {attempt}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":{tid},\"args\":{{\"attempt\":{attempt},\
                          \"backoff_secs\":{backoff_secs}}}"
@@ -196,22 +185,22 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                 ObsEvent::JobFailed { job, attempts } => {
                     let tid = job.0 as u64 + 1;
                     if open.remove(&tid).is_some() {
-                        w.push(format!(
+                        w.push(format_args!(
                             "\"ph\":\"E\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
                         ));
                     }
-                    w.push(format!(
+                    w.push(format_args!(
                         "\"name\":\"job {} failed\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":{tid},\"args\":{{\"attempts\":{attempts}}}",
                         job.0
                     ));
                 }
                 ObsEvent::ExperimentFailed { name, message } => {
-                    w.push(format!(
-                        "\"name\":\"FAILED {}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\
-                         \"pid\":{pid},\"tid\":0,\"args\":{{\"message\":\"{}\"}}",
-                        esc(name),
-                        esc(message)
+                    w.push(format_args!(
+                        "\"name\":{},\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\
+                         \"pid\":{pid},\"tid\":0,\"args\":{{\"message\":{}}}",
+                        Quoted(&format!("FAILED {name}")),
+                        Quoted(message)
                     ));
                 }
                 // High-volume / low-value on a decision timeline: the CPU
@@ -226,7 +215,7 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
         }
         // Close any span still open at the run's end so B/E always pair.
         for (tid, ()) in open {
-            w.push(format!(
+            w.push(format_args!(
                 "\"ph\":\"E\",\"ts\":{last_ts},\"pid\":{pid},\"tid\":{tid}"
             ));
         }

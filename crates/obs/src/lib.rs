@@ -27,6 +27,10 @@
 //!   to stable text lines ([`TimedEvent::to_line`]) or to the compact
 //!   length-prefixed `PDPAOBS1` binary frame format, with magic-byte
 //!   auto-detection on read ([`parse_stream`]).
+//! - the **JSON codec** ([`json`]): the workspace's one JSON value tree,
+//!   depth-bounded parser, string escaper and number formatter, shared
+//!   by the exporters here, the status protocol, daemon snapshots and the
+//!   bench trajectory.
 //!
 //! `RunResult` above refers to `pdpa_engine::RunResult`; this crate sits
 //! below the engine (it depends only on `pdpa-sim`) so every layer —
@@ -38,6 +42,7 @@ pub mod chrome;
 pub mod collector;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod scope;
@@ -45,7 +50,7 @@ pub mod scope;
 pub use binary::{
     is_binary, parse_stream, read_stream, write_stream, write_text_stream, BinaryWriter,
 };
-pub use chrome::chrome_trace;
+pub use chrome::{chrome_trace, TraceEventWriter};
 pub use collector::ExperimentFailure;
 pub use event::{DecisionTrigger, ObsEvent, TimedEvent};
 pub use export::{metrics_json, mpl_series_csv};

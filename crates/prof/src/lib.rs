@@ -22,9 +22,10 @@
 //!   test-capture, or the `pdpa-watch` live tap) and [`ProgressSink`], the
 //!   amortized snapshot feed behind `pdpa replay --serve`.
 //!
-//! The crate sits below `pdpa-engine` in the dependency graph and has no
-//! dependencies of its own: it knows nothing about jobs, policies, or
-//! observers — only about wall-clock time and counters.
+//! The crate sits below `pdpa-engine` in the dependency graph and depends
+//! only on `pdpa-obs`, for its Chrome trace-event writer: it knows nothing
+//! about jobs, policies, or observers — only about wall-clock time and
+//! counters.
 
 #![deny(missing_docs)]
 

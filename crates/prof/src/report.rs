@@ -1,14 +1,17 @@
 //! Finished-profile exports: Chrome `trace_event` JSON and a text
 //! hot-path report.
 //!
-//! The Chrome export mirrors the idiom of `pdpa-obs`'s decision-stream
-//! exporter: a single JSON object `{"traceEvents":[...]}` that Perfetto and
-//! `chrome://tracing` load directly. Profiler spans are emitted as complete
+//! The Chrome export is written with `pdpa-obs`'s [`TraceEventWriter`],
+//! the same writer as the decision-stream exporter: a single JSON object
+//! `{"traceEvents":[...]}` that Perfetto and `chrome://tracing` load
+//! directly. Profiler spans are emitted as complete
 //! (`"ph":"X"`) events — each carries its own duration, so no begin/end
 //! pairing is needed — on one thread lane per shard, named via thread_name
 //! metadata records.
 
 use crate::span::{SpanKind, SpanRec};
+use pdpa_obs::json::Quoted;
+use pdpa_obs::TraceEventWriter;
 
 /// Spans and counters collected by one lane over a run.
 #[derive(Clone, Debug)]
@@ -52,51 +55,30 @@ impl Profile {
 
     /// Chrome `trace_event` JSON with one timeline lane per profiler lane.
     pub fn chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, body: String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('{');
-            out.push_str(&body);
-            out.push('}');
-        };
-        push(
-            &mut out,
+        let mut w = TraceEventWriter::default();
+        w.push(format_args!(
             "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"pdpa replay profile\"}"
-                .to_string(),
-        );
+             \"args\":{{\"name\":\"pdpa replay profile\"}}"
+        ));
         for (tid, lane) in self.lanes.iter().enumerate() {
-            push(
-                &mut out,
-                format!(
-                    "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}",
-                    tid,
-                    esc(&lane.name)
-                ),
-            );
+            w.push(format_args!(
+                "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
+                 \"args\":{{\"name\":{}}}",
+                Quoted(&lane.name)
+            ));
         }
         for (tid, lane) in self.lanes.iter().enumerate() {
             for s in &lane.spans {
-                push(
-                    &mut out,
-                    format!(
-                        "\"name\":\"{}\",\"cat\":\"prof\",\"ph\":\"X\",\
-                         \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-                        s.kind.label(),
-                        us(s.start_ns),
-                        us(s.dur_ns),
-                        tid
-                    ),
-                );
+                w.push(format_args!(
+                    "\"name\":\"{}\",\"cat\":\"prof\",\"ph\":\"X\",\
+                     \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid}",
+                    s.kind.label(),
+                    us(s.start_ns),
+                    us(s.dur_ns)
+                ));
             }
         }
-        out.push_str("]}");
-        out
+        w.finish()
     }
 
     /// Plain-text hot-path report: per-kind count / total / share / mean,
@@ -165,20 +147,6 @@ pub fn imbalance(events: &[u64]) -> Option<f64> {
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

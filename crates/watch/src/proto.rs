@@ -34,7 +34,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{fmt_f64, push_str_escaped, Json};
+use pdpa_obs::json::{self, fmt_f64, push_str_escaped, Value};
 
 /// The protocol generation this build speaks.
 ///
@@ -204,25 +204,25 @@ impl Request {
 
     /// Parses one protocol line.
     pub fn parse_line(line: &str) -> Result<Request, String> {
-        let doc = Json::parse(line)?;
+        let doc = json::parse(line).map_err(|e| e.to_string())?;
         let id = doc
             .get("id")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or("request missing numeric 'id'")?;
         let need_n = |label: &str| -> Result<usize, String> {
             let n = doc
                 .get("n")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{label} request missing numeric 'n'"))?;
             usize::try_from(n).map_err(|_| "'n' does not fit in usize".to_string())
         };
         let need_job = |label: &str| -> Result<u64, String> {
             doc.get("job")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("{label} request missing numeric 'job'"))
         };
-        let opt_str = |key: &str| doc.get(key).and_then(Json::as_str).map(str::to_string);
-        let kind = match doc.get("type").and_then(Json::as_str) {
+        let opt_str = |key: &str| doc.get(key).and_then(Value::as_str).map(str::to_string);
+        let kind = match doc.get("type").and_then(Value::as_str) {
             Some("status") => RequestKind::Status,
             Some("progress") => RequestKind::Progress,
             Some("health") => RequestKind::Health,
@@ -231,8 +231,8 @@ impl Request {
             Some("hello") => RequestKind::Hello,
             Some("submit") => RequestKind::Submit {
                 class: opt_str("class").ok_or("submit request missing string 'class'")?,
-                request: doc.get("request").and_then(Json::as_u64),
-                work_secs: doc.get("work_secs").and_then(Json::as_f64),
+                request: doc.get("request").and_then(Value::as_u64),
+                work_secs: doc.get("work_secs").and_then(Value::as_f64),
             },
             Some("cancel") => RequestKind::Cancel {
                 job: need_job("cancel")?,
@@ -496,15 +496,15 @@ fn push_job_row(out: &mut String, r: &JobRow) {
     );
 }
 
-fn parse_job_row(doc: &Json) -> Result<JobRow, String> {
+fn parse_job_row(doc: &Value) -> Result<JobRow, String> {
     let num = |key: &str| -> Result<u64, String> {
         doc.get(key)
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or_else(|| format!("job record missing numeric '{key}'"))
     };
     let text = |key: &str| -> Result<String, String> {
         doc.get(key)
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .map(str::to_string)
             .ok_or_else(|| format!("job record missing string '{key}'"))
     };
@@ -515,9 +515,9 @@ fn parse_job_row(doc: &Json) -> Result<JobRow, String> {
         state: text("state")?,
         submit_secs: doc
             .get("submit_secs")
-            .and_then(Json::as_f64)
+            .and_then(Value::as_f64)
             .ok_or("job record missing numeric 'submit_secs'")?,
-        finish_secs: doc.get("finish_secs").and_then(Json::as_f64),
+        finish_secs: doc.get("finish_secs").and_then(Value::as_f64),
     })
 }
 
@@ -657,40 +657,40 @@ impl Response {
 
     /// Parses one protocol line.
     pub fn parse_line(line: &str) -> Result<Response, String> {
-        let doc = Json::parse(line)?;
+        let doc = json::parse(line).map_err(|e| e.to_string())?;
         let id = doc
             .get("id")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or("response missing numeric 'id'")?;
         let get_u64 = |key: &str| -> Result<u64, String> {
             doc.get(key)
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("response missing numeric '{key}'"))
         };
         let get_f64 = |key: &str| -> Result<f64, String> {
             doc.get(key)
-                .and_then(Json::as_f64)
+                .and_then(Value::as_f64)
                 .ok_or_else(|| format!("response missing numeric '{key}'"))
         };
         let get_str = |key: &str| -> Result<String, String> {
             doc.get(key)
-                .and_then(Json::as_str)
+                .and_then(Value::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("response missing string '{key}'"))
         };
         let get_opt_str = |key: &str| -> Option<String> {
-            doc.get(key).and_then(Json::as_str).map(str::to_string)
+            doc.get(key).and_then(Value::as_str).map(str::to_string)
         };
-        let body = match doc.get("type").and_then(Json::as_str) {
+        let body = match doc.get("type").and_then(Value::as_str) {
             Some("status") => {
                 let jobs = doc.get("jobs").ok_or("status missing 'jobs'")?;
                 let job = |key: &str| -> Result<u64, String> {
                     jobs.get(key)
-                        .and_then(Json::as_u64)
+                        .and_then(Value::as_u64)
                         .ok_or_else(|| format!("status missing jobs.{key}"))
                 };
                 ResponseBody::Status(StatusBody {
-                    proto: doc.get("proto").and_then(Json::as_u64).unwrap_or(0),
+                    proto: doc.get("proto").and_then(Value::as_u64).unwrap_or(0),
                     state: RunState::parse(&get_str("state")?)?,
                     policy: get_str("policy")?,
                     trace: get_str("trace")?,
@@ -713,13 +713,13 @@ impl Response {
                 waiting: get_u64("waiting")?,
                 jobs_finished: get_u64("jobs_finished")?,
                 jobs_total: get_u64("jobs_total")?,
-                eta_secs: doc.get("eta_secs").and_then(Json::as_f64),
+                eta_secs: doc.get("eta_secs").and_then(Value::as_f64),
                 elapsed_secs: get_f64("elapsed_secs")?,
             }),
             Some("health") => {
                 let shard_events = doc
                     .get("shard_events")
-                    .and_then(Json::as_arr)
+                    .and_then(Value::as_arr)
                     .ok_or("health missing 'shard_events'")?
                     .iter()
                     .map(|v| v.as_u64().ok_or("shard_events entry not a count"))
@@ -728,8 +728,8 @@ impl Response {
                     heartbeat: get_opt_str("heartbeat"),
                     watchdog: get_opt_str("watchdog"),
                     shard_events,
-                    imbalance: doc.get("imbalance").and_then(Json::as_f64),
-                    memory_hwm_kib: doc.get("memory_hwm_kib").and_then(Json::as_u64),
+                    imbalance: doc.get("imbalance").and_then(Value::as_f64),
+                    memory_hwm_kib: doc.get("memory_hwm_kib").and_then(Value::as_u64),
                 })
             }
             Some("metrics") => ResponseBody::Metrics {
@@ -739,7 +739,7 @@ impl Response {
             Some("tail") => {
                 let events = doc
                     .get("events")
-                    .and_then(Json::as_arr)
+                    .and_then(Value::as_arr)
                     .ok_or("tail missing 'events'")?
                     .iter()
                     .map(|v| v.as_str().map(str::to_string).ok_or("event not a string"))
@@ -756,18 +756,18 @@ impl Response {
                 state: RunState::parse(&get_str("state")?)?,
             }),
             Some("ack") => ResponseBody::Ack(AckBody {
-                job: doc.get("job").and_then(Json::as_u64),
-                at_secs: doc.get("at_secs").and_then(Json::as_f64),
+                job: doc.get("job").and_then(Value::as_u64),
+                at_secs: doc.get("at_secs").and_then(Value::as_f64),
                 info: get_opt_str("info"),
             }),
             Some("reject") => ResponseBody::Reject(RejectBody {
                 reason: get_str("reason")?,
-                retry_after_secs: doc.get("retry_after_secs").and_then(Json::as_f64),
+                retry_after_secs: doc.get("retry_after_secs").and_then(Value::as_f64),
             }),
             Some("jobs") => {
                 let records = doc
                     .get("records")
-                    .and_then(Json::as_arr)
+                    .and_then(Value::as_arr)
                     .ok_or("jobs missing 'records'")?
                     .iter()
                     .map(parse_job_row)
@@ -792,6 +792,24 @@ impl Response {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        let req = Request {
+            id: 1,
+            kind: RequestKind::Submit {
+                class: "é\"x".repeat(1 << 18),
+                request: None,
+                work_secs: None,
+            },
+        };
+        let line = req.to_line();
+        assert!(line.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        assert_eq!(Request::parse_line(&line), Ok(req));
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "took {took:?}");
+    }
 
     #[test]
     fn request_lines_round_trip() {

@@ -338,10 +338,27 @@ mod tests {
     fn malformed_request_gets_error_response() {
         let tap = LiveTap::new(RunMeta::default());
         let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&tap)).expect("binds");
-        let responses = query(server.local_addr(), &["not json at all".to_string()]);
-        assert_eq!(responses.len(), 1);
-        assert_eq!(responses[0].id, 0);
-        assert!(matches!(responses[0].body, ResponseBody::Error { .. }));
+        // The nested line would overflow the connection thread's stack
+        // without the parser's depth bound.
+        let hello = Request {
+            id: 7,
+            kind: RequestKind::Hello,
+        };
+        let responses = query(
+            server.local_addr(),
+            &[
+                "not json at all".to_string(),
+                "[".repeat(20_000),
+                hello.to_line(),
+            ],
+        );
+        assert_eq!(responses.len(), 3);
+        for bad in &responses[..2] {
+            assert_eq!(bad.id, 0);
+            assert!(matches!(bad.body, ResponseBody::Error { .. }));
+        }
+        assert_eq!(responses[2].id, 7);
+        assert!(matches!(responses[2].body, ResponseBody::Hello(_)));
         server.shutdown();
     }
 
