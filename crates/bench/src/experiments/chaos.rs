@@ -12,25 +12,15 @@
 
 use std::fmt::Write as _;
 
-use crate::{run_engine_observed, PolicyKind, SEEDS};
+use crate::{run_engine_observed, SEEDS};
+use pdpa_core::{roster, RosterEntry};
 use pdpa_engine::{Engine, EngineConfig, RunResult};
 use pdpa_faults::{FaultPlan, RetryPolicy};
-use pdpa_policies::{GangScheduler, RigidFirstFit, SchedulingPolicy};
 use pdpa_qs::Workload;
 use pdpa_sim::{CpuId, JobId};
 
-const LABELS: [&str; 6] = ["IRIX", "Equip", "Equal_eff", "Rigid", "Gang", "PDPA"];
-
-fn build(label: &str) -> Box<dyn SchedulingPolicy> {
-    match label {
-        "Gang" => Box::new(GangScheduler::paper_comparable()),
-        "Rigid" => Box::new(RigidFirstFit::paper_default()),
-        "IRIX" => PolicyKind::Irix.build(),
-        "Equip" => PolicyKind::Equipartition.build(),
-        "Equal_eff" => PolicyKind::EqualEfficiency.build(),
-        _ => PolicyKind::Pdpa.build(),
-    }
-}
+/// The policies raced, in table order.
+const SLUGS: [&str; 6] = ["irix", "equip", "equal-eff", "rigid", "gang", "pdpa"];
 
 /// The fixed chaos plan: cpu2 dies at t=120 s and returns at t=900 s,
 /// cpu40 dies at t=300 s for good, and the first submitted job crashes at
@@ -51,7 +41,8 @@ struct Row {
     jobs_failed: u64,
 }
 
-fn one_run(label: &str, seed: u64, faults: Option<FaultPlan>) -> RunResult {
+fn one_run(policy: &RosterEntry, seed: u64, faults: Option<FaultPlan>) -> RunResult {
+    let label = policy.label;
     let wl = Workload::W3;
     let jobs = wl.build(1.0, seed);
     let mode = if faults.is_some() { "chaos" } else { "healthy" };
@@ -60,12 +51,12 @@ fn one_run(label: &str, seed: u64, faults: Option<FaultPlan>) -> RunResult {
         config = config.with_faults(plan);
     }
     let key = format!("{}-{label}-{mode}-seed{seed}", wl.name());
-    let r = run_engine_observed(&key, &Engine::new(config), jobs, build(label));
+    let r = run_engine_observed(&key, &Engine::new(config), jobs, (policy.build)());
     assert!(r.completed_all, "{label} wedged under {mode}");
     r
 }
 
-fn run_policy(label: &str) -> Row {
+fn run_policy(policy: &RosterEntry) -> Row {
     let mut row = Row {
         healthy_makespan: 0.0,
         chaos_makespan: 0.0,
@@ -74,8 +65,8 @@ fn run_policy(label: &str) -> Row {
         jobs_failed: 0,
     };
     for &seed in &SEEDS {
-        let healthy = one_run(label, seed, None);
-        let chaos = one_run(label, seed, Some(chaos_plan()));
+        let healthy = one_run(policy, seed, None);
+        let chaos = one_run(policy, seed, Some(chaos_plan()));
         row.healthy_makespan += healthy.summary.makespan_secs();
         row.chaos_makespan += chaos.summary.makespan_secs();
         row.cpu_failures += chaos.cpu_failures;
@@ -90,8 +81,9 @@ fn run_policy(label: &str) -> Row {
 
 /// Renders the experiment.
 pub fn run() -> String {
-    let rows = pdpa_parallel::par_map(&LABELS, pdpa_parallel::num_threads(), |&label| {
-        run_policy(label)
+    let policies = roster::pick(SLUGS);
+    let rows = pdpa_parallel::par_map(&policies, pdpa_parallel::num_threads(), |&policy| {
+        run_policy(policy)
     });
 
     let mut out = String::new();
@@ -110,7 +102,7 @@ pub fn run() -> String {
         "{:<10} {:>16} {:>14} {:>10} {:>9} {:>8} {:>7}",
         "policy", "healthy mkspan", "chaos mkspan", "slowdown", "cpufails", "retries", "failed"
     );
-    for (label, row) in LABELS.iter().zip(&rows) {
+    for (policy, row) in policies.iter().zip(&rows) {
         let slowdown = if row.healthy_makespan > 0.0 {
             (row.chaos_makespan / row.healthy_makespan - 1.0) * 100.0
         } else {
@@ -119,7 +111,7 @@ pub fn run() -> String {
         let _ = writeln!(
             out,
             "{:<10} {:>15.0}s {:>13.0}s {:>9.1}% {:>9} {:>8} {:>7}",
-            label,
+            policy.label,
             row.healthy_makespan,
             row.chaos_makespan,
             slowdown,

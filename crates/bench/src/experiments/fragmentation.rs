@@ -13,29 +13,30 @@
 
 use std::fmt::Write as _;
 
-use crate::{stats, PolicyKind, SEEDS};
+use crate::{stats, SEEDS};
 use pdpa_engine::{Engine, EngineConfig};
-use pdpa_policies::RigidFirstFit;
 use pdpa_qs::Workload;
 
-const VARIANTS: [&str; 4] = ["Rigid", "Rigid+backfill", "Equip", "PDPA"];
+/// Table label, roster slug and whether the queue backfills.
+const VARIANTS: [(&str, &str, bool); 4] = [
+    ("Rigid", "rigid", false),
+    ("Rigid+backfill", "rigid", true),
+    ("Equip", "equip", false),
+    ("PDPA", "pdpa", false),
+];
 
-fn run_variant(wl: Workload, which: &str) -> (f64, f64, usize) {
+fn run_variant(wl: Workload, (which, slug, backfill): (&str, &str, bool)) -> (f64, f64, usize) {
+    let policy = pdpa_core::by_slug(slug).expect("variants name roster slugs");
     let mut makespan = 0.0;
     let mut resp = 0.0;
     let mut ml = 0usize;
     for &seed in &SEEDS {
         let jobs = wl.build(1.0, seed);
-        let policy: Box<dyn pdpa_policies::SchedulingPolicy> = match which {
-            "Rigid" | "Rigid+backfill" => Box::new(RigidFirstFit::paper_default()),
-            "Equip" => PolicyKind::Equipartition.build(),
-            _ => PolicyKind::Pdpa.build(),
-        };
         let mut config = EngineConfig::default().with_seed(seed ^ 0xA5A5);
-        if which == "Rigid+backfill" {
+        if backfill {
             config = config.with_backfill();
         }
-        let r = Engine::new(config).run(jobs, policy);
+        let r = Engine::new(config).run(jobs, (policy.build)());
         stats::record_run(&r);
         assert!(r.completed_all, "{wl}/{which} wedged");
         makespan += r.summary.makespan_secs();
@@ -48,7 +49,7 @@ fn run_variant(wl: Workload, which: &str) -> (f64, f64, usize) {
 
 /// Renders the experiment.
 pub fn run() -> String {
-    let tasks: Vec<(Workload, &str)> = Workload::ALL
+    let tasks: Vec<(Workload, (&str, &str, bool))> = Workload::ALL
         .iter()
         .flat_map(|&wl| VARIANTS.iter().map(move |&which| (wl, which)))
         .collect();
@@ -68,7 +69,7 @@ pub fn run() -> String {
         "wl", "policy", "makespan", "mean response", "maxML"
     );
     for wl in Workload::ALL {
-        for which in VARIANTS {
+        for (which, _, _) in VARIANTS {
             let (makespan, resp, ml) = results.next().expect("one result per task");
             let _ = writeln!(
                 out,

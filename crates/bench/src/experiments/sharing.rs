@@ -13,22 +13,14 @@
 
 use std::fmt::Write as _;
 
-use crate::{stats, PolicyKind, SEEDS};
+use crate::{stats, SEEDS};
+use pdpa_core::{roster, RosterEntry};
 use pdpa_engine::{Engine, EngineConfig};
-use pdpa_policies::{GangScheduler, SchedulingPolicy};
 use pdpa_qs::Workload;
 use pdpa_trace::BurstStats;
 
-const LABELS: [&str; 4] = ["Equip", "PDPA", "Gang", "IRIX"];
-
-fn build(label: &str) -> Box<dyn SchedulingPolicy> {
-    match label {
-        "Gang" => Box::new(GangScheduler::paper_comparable()),
-        "IRIX" => PolicyKind::Irix.build(),
-        "Equip" => PolicyKind::Equipartition.build(),
-        _ => PolicyKind::Pdpa.build(),
-    }
-}
+/// The policies compared, in table order.
+const SLUGS: [&str; 4] = ["equip", "pdpa", "gang", "irix"];
 
 struct Row {
     makespan: f64,
@@ -36,12 +28,12 @@ struct Row {
     stats: BurstStats,
 }
 
-fn run_cell(wl: Workload, label: &str) -> Row {
+fn run_cell(wl: Workload, policy: &RosterEntry) -> Row {
     // Burst structure from one traced run (seed 42).
     let traced = {
         let jobs = wl.build(1.0, 42);
         let config = EngineConfig::default().with_trace().with_seed(42);
-        let r = Engine::new(config).run(jobs, build(label));
+        let r = Engine::new(config).run(jobs, (policy.build)());
         stats::record_run(&r);
         let migrations = r.total_migrations();
         let trace = r.trace.expect("traced");
@@ -51,10 +43,10 @@ fn run_cell(wl: Workload, label: &str) -> Row {
     let mut resp = 0.0;
     for &seed in &SEEDS {
         let jobs = wl.build(1.0, seed);
-        let r =
-            Engine::new(EngineConfig::default().with_seed(seed ^ 0xA5A5)).run(jobs, build(label));
+        let r = Engine::new(EngineConfig::default().with_seed(seed ^ 0xA5A5))
+            .run(jobs, (policy.build)());
         stats::record_run(&r);
-        assert!(r.completed_all, "{wl}/{label} wedged");
+        assert!(r.completed_all, "{wl}/{} wedged", policy.label);
         makespan += r.summary.makespan_secs();
         resp += r.summary.overall_avg_response_secs();
     }
@@ -69,12 +61,13 @@ fn run_cell(wl: Workload, label: &str) -> Row {
 /// Renders the experiment.
 pub fn run() -> String {
     let workloads = [Workload::W1, Workload::W4];
-    let tasks: Vec<(Workload, &str)> = workloads
+    let policies = roster::pick(SLUGS);
+    let tasks: Vec<(Workload, &RosterEntry)> = workloads
         .iter()
-        .flat_map(|&wl| LABELS.iter().map(move |&label| (wl, label)))
+        .flat_map(|&wl| policies.iter().map(move |&policy| (wl, policy)))
         .collect();
-    let rows = pdpa_parallel::par_map(&tasks, pdpa_parallel::num_threads(), |&(wl, label)| {
-        run_cell(wl, label)
+    let rows = pdpa_parallel::par_map(&tasks, pdpa_parallel::num_threads(), |&(wl, policy)| {
+        run_cell(wl, policy)
     });
     let mut rows = rows.into_iter();
 
@@ -90,12 +83,12 @@ pub fn run() -> String {
             "{:<8} {:>10} {:>15} {:>12} {:>17}",
             "policy", "makespan", "mean response", "migrations", "avg burst (ms)"
         );
-        for label in LABELS {
+        for policy in &policies {
             let row = rows.next().expect("one row per task");
             let _ = writeln!(
                 out,
                 "{:<8} {:>9.0}s {:>14.0}s {:>12} {:>17.0}",
-                label,
+                policy.label,
                 row.makespan,
                 row.resp,
                 row.stats.migrations,

@@ -30,14 +30,10 @@ use std::time::Instant;
 
 use crate::experiments::chaos;
 use pdpa_analyze::{RunAnalysis, SlowdownDist};
-use pdpa_core::Pdpa;
+use pdpa_core::{RosterEntry, ROSTER};
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_obs::json::Value;
 use pdpa_obs::RecordingObserver;
-use pdpa_policies::{
-    EqualEfficiency, Equipartition, GangScheduler, HeSrpt, LearnedAlloc, OptSplit, RigidFirstFit,
-    SchedulingPolicy,
-};
 use pdpa_qs::{shape, swf, GeneratorConfig, Workload};
 
 /// Submission window of the generated SWF leg, seconds (≈ 350 jobs at
@@ -51,63 +47,12 @@ const CPUS: usize = 60;
 /// The tournament's fixed seed.
 const SEED: u64 = 42;
 
-/// One competing policy.
-pub struct Entrant {
-    /// Display label, as used in the paper's figures where applicable.
-    pub label: &'static str,
-    /// Stable identifier for `tournament-<slug>` trajectory modes.
-    pub slug: &'static str,
-    /// Builds a fresh policy instance.
-    pub build: fn() -> Box<dyn SchedulingPolicy>,
-}
-
-/// The roster: the paper's space-sharing policies, the rigid and gang
-/// baselines, and the three literature entrants. IRIX sits this one out —
-/// its 250 ms quantum makes a traced replay of a long trace emit millions
-/// of per-quantum placement events for no extra ranking insight.
-pub fn entrants() -> Vec<Entrant> {
-    vec![
-        Entrant {
-            label: "PDPA",
-            slug: "pdpa",
-            build: || Box::new(Pdpa::paper_default()),
-        },
-        Entrant {
-            label: "Equip",
-            slug: "equip",
-            build: || Box::new(Equipartition::default()),
-        },
-        Entrant {
-            label: "Equal_eff",
-            slug: "equal-eff",
-            build: || Box::new(EqualEfficiency::paper_default()),
-        },
-        Entrant {
-            label: "Rigid",
-            slug: "rigid",
-            build: || Box::new(RigidFirstFit::paper_default()),
-        },
-        Entrant {
-            label: "Gang",
-            slug: "gang",
-            build: || Box::new(GangScheduler::paper_comparable()),
-        },
-        Entrant {
-            label: "heSRPT",
-            slug: "hesrpt",
-            build: || Box::new(HeSrpt::default()),
-        },
-        Entrant {
-            label: "OptSplit",
-            slug: "optsplit",
-            build: || Box::new(OptSplit::default()),
-        },
-        Entrant {
-            label: "Learned",
-            slug: "learned",
-            build: || Box::new(LearnedAlloc::default()),
-        },
-    ]
+/// The roster minus IRIX: the paper's space-sharing policies, the rigid
+/// and gang baselines, and the three literature entrants. IRIX sits this
+/// one out — its 250 ms quantum makes a traced replay of a long trace emit
+/// millions of per-quantum placement events for no extra ranking insight.
+pub fn entrants() -> Vec<&'static RosterEntry> {
+    ROSTER.iter().filter(|e| e.slug != "irix").collect()
 }
 
 /// Tournament parameters. [`Default`] is what the registry experiment and
@@ -208,7 +153,7 @@ fn shaped_trace(config: &TournamentConfig) -> pdpa_qs::SwfTrace {
 /// Runs one entrant on one leg: traced engine run, event-stream analysis,
 /// uniform churn accounting.
 fn race(
-    entrant: &Entrant,
+    entrant: &RosterEntry,
     jobs: Vec<pdpa_qs::JobSpec>,
     config: EngineConfig,
     key: &str,

@@ -35,9 +35,12 @@ use std::time::Instant;
 use crate::experiments::{self, Experiment};
 use crate::stats;
 use crate::trajectory::{BenchReport, ExperimentTiming, ModeReport};
+use pdpa_analyze::{analysis_json, RunAnalysis};
 use pdpa_obs::json;
 use pdpa_obs::metrics::Registry;
-use pdpa_obs::{chrome_trace, collector, metrics_json, mpl_series_csv, scope};
+use pdpa_obs::{
+    chrome_trace, collector, metrics_json, mpl_series_csv, scope, ExperimentFailure, TimedEvent,
+};
 
 /// Width of the separator rule between experiments (matches the old
 /// subprocess-based `expt-all`).
@@ -56,24 +59,73 @@ pub struct Options {
     pub sequential: bool,
     /// Restrict `expt-all` to one named experiment.
     pub only: Option<String>,
-    /// Export the recorded event streams as Chrome trace JSON.
-    pub trace_out: Option<String>,
-    /// Export the metrics-registry snapshot as JSON.
-    pub metrics_out: Option<String>,
-    /// Export the recorded runs' MPL history as CSV.
-    pub mpl_csv: Option<String>,
-    /// Export the recorded runs' derived analytics as JSON.
-    pub analyze_out: Option<String>,
+    /// The export files to write after the runs.
+    pub exports: Exports,
     /// Replay-style experiments run their engine executions on this many
     /// shards (epoch-parallel sharded engine) instead of the classic
     /// sequential loop.
     pub shards: Option<usize>,
 }
 
-impl Options {
-    /// Whether engine runs should record their decision-event streams.
-    fn observing(&self) -> bool {
+/// The four decision-event export files. `pdpa run`, `pdpa replay`,
+/// `pdpa analyze` and this harness all write them through [`Exports::write`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Exports {
+    /// Chrome `trace_event` JSON of the recorded streams (`--trace-out`).
+    pub trace_out: Option<String>,
+    /// Multiprogramming-level history CSV, the Fig. 8 series (`--mpl-csv`).
+    pub mpl_csv: Option<String>,
+    /// Metrics-registry snapshot JSON (`--metrics-out`).
+    pub metrics_out: Option<String>,
+    /// `pdpa-analyze/v1` analysis of every recorded stream
+    /// (`--analyze-out`).
+    pub analyze_out: Option<String>,
+}
+
+impl Exports {
+    /// Whether runs must record their decision-event streams.
+    pub fn records(&self) -> bool {
         self.trace_out.is_some() || self.mpl_csv.is_some() || self.analyze_out.is_some()
+    }
+
+    /// Whether any file is requested.
+    pub fn any(&self) -> bool {
+        self.records() || self.metrics_out.is_some()
+    }
+
+    /// Writes every requested file from the recorded `runs`, the global
+    /// metrics registry and the captured experiment `failures`. Returns
+    /// `(what, path)` for each file, in the order written.
+    ///
+    /// # Errors
+    ///
+    /// `cannot write <path>: <cause>` for the first file that fails.
+    pub fn write(
+        &self,
+        runs: &[(String, Vec<TimedEvent>)],
+        failures: &[ExperimentFailure],
+    ) -> Result<Vec<(&'static str, String)>, String> {
+        let mut written = Vec::new();
+        let mut put = |path: &Option<String>, what, render: &dyn Fn() -> String| {
+            if let Some(path) = path {
+                std::fs::write(path, render()).map_err(|e| format!("cannot write {path}: {e}"))?;
+                written.push((what, path.clone()));
+            }
+            Ok::<_, String>(())
+        };
+        put(&self.trace_out, "Chrome trace", &|| chrome_trace(runs))?;
+        put(&self.mpl_csv, "MPL series CSV", &|| mpl_series_csv(runs))?;
+        put(&self.metrics_out, "metrics JSON", &|| {
+            metrics_json(&Registry::global().snapshot(), failures)
+        })?;
+        put(&self.analyze_out, "run analysis JSON", &|| {
+            let analyses: Vec<(String, RunAnalysis)> = runs
+                .iter()
+                .map(|(key, events)| (key.clone(), RunAnalysis::from_events(events)))
+                .collect();
+            analysis_json(&analyses)
+        })?;
+        Ok(written)
     }
 }
 
@@ -90,19 +142,19 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String>
                 None => return Err("--only requires an experiment name".into()),
             },
             "--trace-out" => match args.next() {
-                Some(path) => opts.trace_out = Some(path),
+                Some(path) => opts.exports.trace_out = Some(path),
                 None => return Err("--trace-out requires a file path".into()),
             },
             "--metrics-out" => match args.next() {
-                Some(path) => opts.metrics_out = Some(path),
+                Some(path) => opts.exports.metrics_out = Some(path),
                 None => return Err("--metrics-out requires a file path".into()),
             },
             "--mpl-csv" => match args.next() {
-                Some(path) => opts.mpl_csv = Some(path),
+                Some(path) => opts.exports.mpl_csv = Some(path),
                 None => return Err("--mpl-csv requires a file path".into()),
             },
             "--analyze-out" => match args.next() {
-                Some(path) => opts.analyze_out = Some(path),
+                Some(path) => opts.exports.analyze_out = Some(path),
                 None => return Err("--analyze-out requires a file path".into()),
             },
             "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
@@ -193,16 +245,6 @@ fn run_guarded(e: &Experiment) -> Outcome {
 
 use crate::trajectory::git_rev;
 
-/// Writes an export file, reporting the path on stderr like the CLI does.
-fn write_export(path: &str, what: &str, contents: &str) -> Result<(), ExitCode> {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {path}: {e}");
-        return Err(ExitCode::FAILURE);
-    }
-    eprintln!("[{path}] {what} written");
-    Ok(())
-}
-
 /// Runs `list` (concurrently unless `--sequential`), prints the outputs in
 /// registry order, merges the trajectory under `--json`, and reports
 /// failures with a nonzero exit instead of a panic.
@@ -222,7 +264,7 @@ fn run(list: &[Experiment], opts: &Options) -> ExitCode {
     } else {
         pdpa_parallel::num_threads()
     };
-    if opts.observing() {
+    if opts.exports.records() {
         collector::set_recording(true);
     }
 
@@ -248,39 +290,20 @@ fn run(list: &[Experiment], opts: &Options) -> ExitCode {
 
     // Drain the observability state once; every export below reads from
     // these (deterministically ordered) drains.
-    let recorded_runs = if opts.observing() {
+    let recorded_runs = if opts.exports.records() {
         collector::set_recording(false);
         collector::take_runs()
     } else {
         Vec::new()
     };
     let obs_failures = collector::take_failures();
-    let metrics_text = metrics_json(&Registry::global().snapshot(), &obs_failures);
-
-    if let Some(path) = &opts.trace_out {
-        if let Err(code) = write_export(path, "Chrome trace", &chrome_trace(&recorded_runs)) {
-            return code;
+    match opts.exports.write(&recorded_runs, &obs_failures) {
+        Ok(written) => {
+            for (what, path) in written {
+                eprintln!("[{path}] {what} written");
+            }
         }
-    }
-    if let Some(path) = &opts.mpl_csv {
-        if let Err(code) = write_export(path, "MPL series CSV", &mpl_series_csv(&recorded_runs)) {
-            return code;
-        }
-    }
-    if let Some(path) = &opts.metrics_out {
-        if let Err(code) = write_export(path, "metrics JSON", &metrics_text) {
-            return code;
-        }
-    }
-    if let Some(path) = &opts.analyze_out {
-        let analyses: Vec<(String, pdpa_analyze::RunAnalysis)> = recorded_runs
-            .iter()
-            .map(|(key, events)| (key.clone(), pdpa_analyze::RunAnalysis::from_events(events)))
-            .collect();
-        let doc = pdpa_analyze::analysis_json(&analyses);
-        if let Err(code) = write_export(path, "run analysis JSON", &doc) {
-            return code;
-        }
+        Err(message) => return usage_error(&message),
     }
 
     if opts.json {
@@ -290,7 +313,7 @@ fn run(list: &[Experiment], opts: &Options) -> ExitCode {
             counters,
             // The same document `--metrics-out` writes, embedded as the
             // mode's `metrics` block (pdpa-bench/v2).
-            metrics: json::parse(&metrics_text).ok(),
+            metrics: json::parse(&metrics_json(&Registry::global().snapshot(), &obs_failures)).ok(),
             experiments: list
                 .iter()
                 .zip(&outcomes)
@@ -367,16 +390,16 @@ mod tests {
             "analysis.json",
         ])
         .unwrap();
-        assert_eq!(opts.trace_out.as_deref(), Some("trace.json"));
-        assert_eq!(opts.metrics_out.as_deref(), Some("metrics.json"));
-        assert_eq!(opts.mpl_csv.as_deref(), Some("mpl.csv"));
-        assert_eq!(opts.analyze_out.as_deref(), Some("analysis.json"));
-        assert!(opts.observing());
-        assert!(!Options::default().observing());
+        assert_eq!(opts.exports.trace_out.as_deref(), Some("trace.json"));
+        assert_eq!(opts.exports.metrics_out.as_deref(), Some("metrics.json"));
+        assert_eq!(opts.exports.mpl_csv.as_deref(), Some("mpl.csv"));
+        assert_eq!(opts.exports.analyze_out.as_deref(), Some("analysis.json"));
+        assert!(opts.exports.records());
+        assert!(!Options::default().exports.any());
         // --analyze-out alone must turn recording on, or the analysis
         // would silently be empty.
         let alone = parse(&["--analyze-out", "analysis.json"]).unwrap();
-        assert!(alone.observing());
+        assert!(alone.exports.records());
     }
 
     #[test]

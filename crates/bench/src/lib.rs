@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 
 use pdpa_apps::AppClass;
-use pdpa_core::{Pdpa, PdpaParams};
+use pdpa_core::{Pdpa, PdpaParams, RosterEntry};
 use pdpa_engine::{Engine, EngineConfig, RunResult};
 use pdpa_policies::{EqualEfficiency, Equipartition, IrixLike, SchedulingPolicy};
 use pdpa_qs::Workload;
@@ -68,24 +68,25 @@ impl PolicyKind {
         PolicyKind::Pdpa,
     ];
 
+    /// This policy's row of the roster.
+    fn entry(self) -> &'static RosterEntry {
+        let slug = match self {
+            PolicyKind::Irix => "irix",
+            PolicyKind::Equipartition => "equip",
+            PolicyKind::EqualEfficiency => "equal-eff",
+            PolicyKind::Pdpa => "pdpa",
+        };
+        pdpa_core::by_slug(slug).expect("every PolicyKind is on the roster")
+    }
+
     /// The label used in the paper's figures.
     pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Irix => "IRIX",
-            PolicyKind::Equipartition => "Equip",
-            PolicyKind::EqualEfficiency => "Equal_eff",
-            PolicyKind::Pdpa => "PDPA",
-        }
+        self.entry().label
     }
 
     /// Instantiates the policy with the paper's configuration.
     pub fn build(self) -> Box<dyn SchedulingPolicy> {
-        match self {
-            PolicyKind::Irix => Box::new(IrixLike::paper_default()),
-            PolicyKind::Equipartition => Box::new(Equipartition::default()),
-            PolicyKind::EqualEfficiency => Box::new(EqualEfficiency::paper_default()),
-            PolicyKind::Pdpa => Box::new(Pdpa::paper_default()),
-        }
+        (self.entry().build)()
     }
 
     /// Instantiates the policy with an overridden multiprogramming level
@@ -364,8 +365,8 @@ mod tests {
 
     #[test]
     fn labels_match_paper() {
-        assert_eq!(PolicyKind::Irix.label(), "IRIX");
-        assert_eq!(PolicyKind::Pdpa.label(), "PDPA");
+        let labels = PolicyKind::ALL.map(PolicyKind::label);
+        assert_eq!(labels, ["IRIX", "Equip", "Equal_eff", "PDPA"]);
     }
 
     #[test]

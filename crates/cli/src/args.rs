@@ -1,6 +1,15 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
+use std::str::FromStr;
+
+use pdpa_bench::harness::Exports;
+use pdpa_core::RosterEntry;
+use pdpa_policies::SharingModel;
 use pdpa_qs::Workload;
+
+/// A policy named on the command line: one row of the
+/// [`pdpa_core::roster`].
+pub type Policy = &'static RosterEntry;
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,7 +46,7 @@ pub struct ReplayOptions {
     /// Path of the SWF trace to replay.
     pub trace_path: String,
     /// Scheduling policy to replay under.
-    pub policy: PolicyChoice,
+    pub policy: Policy,
     /// Rescale the trace to this demand fraction (omitted: replay the
     /// trace's intrinsic arrival rate).
     pub load: Option<f64>,
@@ -53,10 +62,9 @@ pub struct ReplayOptions {
     pub json: bool,
     /// Print a decision-event summary after the metrics.
     pub obs: bool,
-    /// Write a Chrome `trace_event` JSON of the decision-event stream here.
-    pub trace_out: Option<String>,
-    /// Write the `pdpa-analyze/v1` analysis document here.
-    pub analyze_out: Option<String>,
+    /// The Chrome trace and analysis files to write (`--trace-out`,
+    /// `--analyze-out`).
+    pub exports: Exports,
     /// Replay through the epoch-parallel sharded engine with this many
     /// shards (omitted: the classic sequential engine).
     pub shards: Option<usize>,
@@ -151,19 +159,23 @@ impl ObsFormat {
     }
 }
 
+/// The policy every command defaults to.
+fn pdpa() -> Policy {
+    pdpa_core::by_slug("pdpa").expect("PDPA is on the roster")
+}
+
 impl Default for ReplayOptions {
     fn default() -> Self {
         ReplayOptions {
             trace_path: String::new(),
-            policy: PolicyChoice::Pdpa,
+            policy: pdpa(),
             load: None,
             cpus: 60,
             window: None,
             seed: 42,
             json: false,
             obs: false,
-            trace_out: None,
-            analyze_out: None,
+            exports: Exports::default(),
             shards: None,
             epoch: None,
             diff_shards: None,
@@ -215,7 +227,7 @@ pub struct DaemonOptions {
     /// printed to stderr at bind time).
     pub addr: String,
     /// Scheduling policy the daemon runs.
-    pub policy: PolicyChoice,
+    pub policy: Policy,
     /// Machine size.
     pub cpus: usize,
     /// Engine seed.
@@ -243,7 +255,7 @@ impl Default for DaemonOptions {
     fn default() -> Self {
         DaemonOptions {
             addr: "127.0.0.1:0".to_string(),
-            policy: PolicyChoice::Pdpa,
+            policy: pdpa(),
             cpus: 32,
             seed: 42,
             backfill: false,
@@ -317,69 +329,14 @@ pub struct CtlOptions {
     pub json: bool,
 }
 
-/// Scheduling policies selectable from the command line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyChoice {
-    /// The paper's contribution.
-    Pdpa,
-    /// Equipartition.
-    Equipartition,
-    /// Equal_efficiency.
-    EqualEfficiency,
-    /// The IRIX-like time-sharing model.
-    Irix,
-    /// Rigid first-fit space sharing.
-    Rigid,
-    /// Gang scheduling.
-    Gang,
-    /// heSRPT: closed-form allocation by remaining-work rank.
-    Hesrpt,
-    /// OptSplit: water-filling over concave speedup curves.
-    Optsplit,
-    /// LearnedAlloc: online gradient steps on measured speedups.
-    Learned,
-}
-
-impl PolicyChoice {
-    /// Parses a policy name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "pdpa" => Some(PolicyChoice::Pdpa),
-            "equip" | "equipartition" => Some(PolicyChoice::Equipartition),
-            "equal-eff" | "equal_eff" | "equal-efficiency" => Some(PolicyChoice::EqualEfficiency),
-            "irix" => Some(PolicyChoice::Irix),
-            "rigid" => Some(PolicyChoice::Rigid),
-            "gang" => Some(PolicyChoice::Gang),
-            "hesrpt" | "he-srpt" => Some(PolicyChoice::Hesrpt),
-            "optsplit" | "opt-split" => Some(PolicyChoice::Optsplit),
-            "learned" | "learnedalloc" | "learned-alloc" => Some(PolicyChoice::Learned),
-            _ => None,
-        }
-    }
-
-    /// Short stable identifier used in `replay-<slug>` trajectory modes.
-    pub fn slug(self) -> &'static str {
-        match self {
-            PolicyChoice::Pdpa => "pdpa",
-            PolicyChoice::Equipartition => "equip",
-            PolicyChoice::EqualEfficiency => "equal-eff",
-            PolicyChoice::Irix => "irix",
-            PolicyChoice::Rigid => "rigid",
-            PolicyChoice::Gang => "gang",
-            PolicyChoice::Hesrpt => "hesrpt",
-            PolicyChoice::Optsplit => "optsplit",
-            PolicyChoice::Learned => "learned",
-        }
-    }
-}
-
-/// Options shared by `run` and `compare`.
+/// Options of `run`, `compare`, `analyze` and `diff`; each command
+/// accepts only the flags it acts on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
     /// The workload to execute.
     pub workload: Workload,
-    /// Policy (meaningful for `run`; `compare` runs them all).
-    pub policy: Option<PolicyChoice>,
+    /// Policy (`run`, `analyze`, `diff`; `compare` runs them all).
+    pub policy: Option<Policy>,
     /// System load fraction.
     pub load: f64,
     /// Seed for the generator and engine.
@@ -390,8 +347,6 @@ pub struct Options {
     pub untuned: bool,
     /// Queue backfilling.
     pub backfill: bool,
-    /// Trace collection.
-    pub trace: bool,
     /// Print the ASCII execution view.
     pub ascii: bool,
     /// Write a Paraver trace here.
@@ -400,19 +355,13 @@ pub struct Options {
     pub swf_log: Option<String>,
     /// Print a decision-event summary after the metrics.
     pub obs: bool,
-    /// Write a Chrome `trace_event` JSON of the decision-event stream here.
-    pub trace_out: Option<String>,
-    /// Write the metrics-registry snapshot as JSON here.
-    pub metrics_out: Option<String>,
-    /// Write the MPL/allocation time-series CSV here.
-    pub mpl_csv: Option<String>,
-    /// Write the `pdpa-analyze/v1` analysis document here.
-    pub analyze_out: Option<String>,
+    /// The decision-event export files to write (`run`, `analyze`).
+    pub exports: Exports,
     /// Fault-injection plan (the `pdpa_faults::FaultPlan` grammar),
     /// unparsed — validated against `cpus` when the engine is built.
     pub faults: Option<String>,
     /// Second policy for `pdpa diff` (defaults to `--policy`).
-    pub policy_b: Option<PolicyChoice>,
+    pub policy_b: Option<Policy>,
     /// Second seed for `pdpa diff` (defaults to `--seed`).
     pub seed_b: Option<u64>,
     /// `analyze`/`diff`: read this recorded decision-event stream (text or
@@ -423,13 +372,10 @@ pub struct Options {
 }
 
 impl Options {
-    /// Whether the run must record its decision-event stream.
-    pub fn observing(&self) -> bool {
-        self.obs
-            || self.trace_out.is_some()
-            || self.metrics_out.is_some()
-            || self.mpl_csv.is_some()
-            || self.analyze_out.is_some()
+    /// Whether the run collects the per-CPU activity trace, which only
+    /// `--ascii` and `--prv-out` read.
+    pub fn trace(&self) -> bool {
+        self.ascii || self.prv_out.is_some()
     }
 }
 
@@ -443,15 +389,11 @@ impl Default for Options {
             cpus: 60,
             untuned: false,
             backfill: false,
-            trace: false,
             ascii: false,
             prv_out: None,
             swf_log: None,
             obs: false,
-            trace_out: None,
-            metrics_out: None,
-            mpl_csv: None,
-            analyze_out: None,
+            exports: Exports::default(),
             faults: None,
             policy_b: None,
             seed_b: None,
@@ -461,13 +403,135 @@ impl Default for Options {
     }
 }
 
-fn parse_workload(s: &str) -> Result<Workload, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "w1" => Ok(Workload::W1),
-        "w2" => Ok(Workload::W2),
-        "w3" => Ok(Workload::W3),
-        "w4" => Ok(Workload::W4),
-        other => Err(format!("unknown workload {other:?}; expected w1..w4")),
+/// Walks one command's arguments. Each getter reads the current flag's
+/// value and applies one validation rule, so every diagnostic is written
+/// once.
+struct Flags<'a> {
+    verb: &'a str,
+    args: std::slice::Iter<'a, String>,
+    /// The argument last returned by [`Flags::next`].
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(verb: &'a str, args: &'a [String]) -> Self {
+        Flags {
+            verb,
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The next argument: a flag, whose value the getters read, or a
+    /// positional word.
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    fn unknown(&self) -> String {
+        format!("unknown option {:?}; try `pdpa help`", self.flag)
+    }
+
+    /// Rejects the current flag unless the command is one of `verbs`.
+    fn only_for(&self, verbs: &[&str]) -> Result<(), String> {
+        if verbs.contains(&self.verb) {
+            return Ok(());
+        }
+        let verbs: Vec<String> = verbs.iter().map(|v| format!("`pdpa {v}`")).collect();
+        Err(format!(
+            "{} is only meaningful for {}",
+            self.flag,
+            verbs.join("/")
+        ))
+    }
+
+    /// Stores the current word as the command's one positional argument.
+    fn positional(&self, slot: &mut Option<String>, what: &str) -> Result<(), String> {
+        if self.flag.starts_with('-') {
+            return Err(self.unknown());
+        }
+        if let Some(first) = slot {
+            return Err(format!(
+                "{} takes one {what}; got {first:?} and {:?}",
+                self.verb, self.flag
+            ));
+        }
+        *slot = Some(self.flag.to_string());
+        Ok(())
+    }
+
+    fn value(&mut self) -> Result<String, String> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    /// The next argument, unless it is a flag.
+    fn optional_value(&mut self) -> Option<String> {
+        match self.args.as_slice().first() {
+            Some(next) if !next.starts_with('-') => self.args.next().cloned(),
+            _ => None,
+        }
+    }
+
+    /// The value parsed as `T`, and its text for later diagnostics;
+    /// `expects` describes the wanted form.
+    fn parsed<T: FromStr>(&mut self, expects: &str) -> Result<(T, String), String> {
+        let v = self.value()?;
+        match v.parse() {
+            Ok(x) => Ok((x, v)),
+            Err(_) => Err(format!("{} {expects}, got {v:?}", self.flag)),
+        }
+    }
+
+    fn int<T: FromStr>(&mut self) -> Result<T, String> {
+        Ok(self.parsed("expects an integer")?.0)
+    }
+
+    fn count(&mut self) -> Result<usize, String> {
+        match self.int()? {
+            0 => Err(format!("{} must be at least 1", self.flag)),
+            n => Ok(n),
+        }
+    }
+
+    fn seconds(&mut self) -> Result<f64, String> {
+        let (secs, v): (f64, _) = self.parsed("expects seconds")?;
+        if !(secs > 0.0 && secs.is_finite()) {
+            return Err(format!(
+                "{} {v} must be a positive number of seconds",
+                self.flag
+            ));
+        }
+        Ok(secs)
+    }
+
+    fn load(&mut self) -> Result<f64, String> {
+        let (load, v): (f64, _) = self.parsed("expects a number")?;
+        if !(load > 0.0 && load <= 2.0) {
+            return Err(format!("{} {v} out of range (0, 2]", self.flag));
+        }
+        Ok(load)
+    }
+
+    fn policy(&mut self) -> Result<Policy, String> {
+        let v = self.value()?;
+        pdpa_core::by_slug(&v).ok_or_else(|| format!("unknown policy {v:?}"))
+    }
+
+    fn workload(&mut self) -> Result<Workload, String> {
+        let v = self.value()?;
+        Workload::ALL
+            .into_iter()
+            .find(|w| w.name().eq_ignore_ascii_case(&v))
+            .ok_or_else(|| {
+                format!(
+                    "unknown workload {:?}; expected w1..w4",
+                    v.to_ascii_lowercase()
+                )
+            })
     }
 }
 
@@ -477,107 +541,104 @@ fn parse_workload(s: &str) -> Result<Workload, String> {
 ///
 /// Returns a human-readable diagnostic on any malformed input.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().peekable();
-    let Some(verb) = it.next() else {
+    let Some((verb, args)) = args.split_first() else {
         return Ok(Command::Help);
     };
     match verb.as_str() {
-        "help" | "--help" | "-h" => return Ok(Command::Help),
-        "curves" => return Ok(Command::Curves),
-        "replay" => return parse_replay(&mut it),
-        "tournament" => return parse_tournament(&mut it),
-        "watch" => return parse_watch(&mut it),
-        "daemon" => return parse_daemon(&mut it),
-        "submit" => return parse_submit(&mut it),
-        "ctl" => return parse_ctl(&mut it),
-        "run" | "compare" | "analyze" | "diff" => {}
-        other => return Err(format!("unknown command {other:?}; try `pdpa help`")),
+        "help" | "--help" | "-h" => Ok(Command::Help),
+        "curves" => {
+            let mut f = Flags::new("curves", args);
+            match f.next() {
+                None => Ok(Command::Curves),
+                Some(_) => Err(f.unknown()),
+            }
+        }
+        "replay" => parse_replay(args),
+        "tournament" => parse_tournament(args),
+        "watch" => parse_watch(args),
+        "daemon" => parse_daemon(args),
+        "submit" => parse_submit(args),
+        "ctl" => parse_ctl(args),
+        "run" | "compare" | "analyze" | "diff" => parse_run(verb, args),
+        other => Err(format!("unknown command {other:?}; try `pdpa help`")),
     }
+}
 
+/// Parses `pdpa run|compare|analyze|diff [flags]`.
+fn parse_run(verb: &str, args: &[String]) -> Result<Command, String> {
+    const POLICY: &[&str] = &["run", "analyze", "diff"];
+    const EXPORTS: &[&str] = &["run", "analyze"];
     let mut opts = Options::default();
     let mut workload_set = false;
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut f = Flags::new(verb, args);
+    while let Some(arg) = f.next() {
+        match arg {
             "--workload" => {
-                opts.workload = parse_workload(&value_of("--workload", &mut it)?)?;
+                opts.workload = f.workload()?;
                 workload_set = true;
             }
-            "--policy" => {
-                let v = value_of("--policy", &mut it)?;
-                opts.policy =
-                    Some(PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?);
-            }
-            "--load" => {
-                let v = value_of("--load", &mut it)?;
-                opts.load = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--load expects a number, got {v:?}"))?;
-                if !(opts.load > 0.0 && opts.load <= 2.0) {
-                    return Err(format!("--load {v} out of range (0, 2]"));
-                }
-            }
-            "--seed" => {
-                let v = value_of("--seed", &mut it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--cpus" => {
-                let v = value_of("--cpus", &mut it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
+            "--load" => opts.load = f.load()?,
+            "--seed" => opts.seed = f.int()?,
+            "--cpus" => opts.cpus = f.count()?,
             "--untuned" => opts.untuned = true,
             "--backfill" => opts.backfill = true,
-            "--trace" => opts.trace = true,
+            "--faults" => opts.faults = Some(f.value()?),
+            "--policy" => {
+                f.only_for(POLICY)?;
+                opts.policy = Some(f.policy()?);
+            }
             "--ascii" => {
+                f.only_for(&["run"])?;
                 opts.ascii = true;
-                opts.trace = true;
             }
             "--prv-out" => {
-                opts.prv_out = Some(value_of("--prv-out", &mut it)?);
-                opts.trace = true;
+                f.only_for(&["run"])?;
+                opts.prv_out = Some(f.value()?);
             }
-            "--swf-log" => opts.swf_log = Some(value_of("--swf-log", &mut it)?),
-            "--obs" => opts.obs = true,
-            "--trace-out" => opts.trace_out = Some(value_of("--trace-out", &mut it)?),
-            "--metrics-out" => opts.metrics_out = Some(value_of("--metrics-out", &mut it)?),
-            "--mpl-csv" => opts.mpl_csv = Some(value_of("--mpl-csv", &mut it)?),
-            "--analyze-out" => opts.analyze_out = Some(value_of("--analyze-out", &mut it)?),
-            "--faults" => opts.faults = Some(value_of("--faults", &mut it)?),
+            "--swf-log" => {
+                f.only_for(&["run"])?;
+                opts.swf_log = Some(f.value()?);
+            }
+            "--obs" => {
+                f.only_for(&["run"])?;
+                opts.obs = true;
+            }
+            "--trace-out" => {
+                f.only_for(EXPORTS)?;
+                opts.exports.trace_out = Some(f.value()?);
+            }
+            "--metrics-out" => {
+                f.only_for(EXPORTS)?;
+                opts.exports.metrics_out = Some(f.value()?);
+            }
+            "--mpl-csv" => {
+                f.only_for(EXPORTS)?;
+                opts.exports.mpl_csv = Some(f.value()?);
+            }
+            "--analyze-out" => {
+                f.only_for(EXPORTS)?;
+                opts.exports.analyze_out = Some(f.value()?);
+            }
             "--policy-b" => {
-                let v = value_of("--policy-b", &mut it)?;
-                opts.policy_b =
-                    Some(PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?);
+                f.only_for(&["diff"])?;
+                opts.policy_b = Some(f.policy()?);
             }
             "--seed-b" => {
-                let v = value_of("--seed-b", &mut it)?;
-                opts.seed_b = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--seed-b expects an integer, got {v:?}"))?,
-                );
+                f.only_for(&["diff"])?;
+                opts.seed_b = Some(f.int()?);
             }
-            "--from-stream" => opts.from_stream = Some(value_of("--from-stream", &mut it)?),
-            "--from-stream-b" => opts.from_stream_b = Some(value_of("--from-stream-b", &mut it)?),
-            other => return Err(format!("unknown option {other:?}; try `pdpa help`")),
+            "--from-stream" => {
+                f.only_for(&["analyze", "diff"])?;
+                opts.from_stream = Some(f.value()?);
+            }
+            "--from-stream-b" => {
+                f.only_for(&["diff"])?;
+                opts.from_stream_b = Some(f.value()?);
+            }
+            _ => return Err(f.unknown()),
         }
     }
     let from_stream = opts.from_stream.is_some();
-    if from_stream && !matches!(verb.as_str(), "analyze" | "diff") {
-        return Err("--from-stream is only meaningful for `pdpa analyze`/`pdpa diff`".into());
-    }
-    if opts.from_stream_b.is_some() && verb != "diff" {
-        return Err("--from-stream-b is only meaningful for `pdpa diff`".into());
-    }
     if verb == "diff" && (from_stream != opts.from_stream_b.is_some()) {
         return Err(
             "`pdpa diff` compares two streams; give both --from-stream and --from-stream-b".into(),
@@ -586,158 +647,68 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     if !workload_set && !from_stream {
         return Err("--workload is required".into());
     }
-    if verb != "diff" && (opts.policy_b.is_some() || opts.seed_b.is_some()) {
-        return Err("--policy-b/--seed-b are only meaningful for `pdpa diff`".into());
+    if verb != "compare" && opts.policy.is_none() && !from_stream {
+        return Err(format!("--policy is required for `pdpa {verb}`"));
     }
-    match verb.as_str() {
-        "run" | "analyze" | "diff" => {
-            if opts.policy.is_none() && !from_stream {
-                return Err(format!("--policy is required for `pdpa {verb}`"));
-            }
-            Ok(match verb.as_str() {
-                "run" => Command::Run(opts),
-                "analyze" => Command::Analyze(opts),
-                _ => Command::Diff(opts),
-            })
-        }
-        _ => Ok(Command::Compare(opts)),
-    }
+    Ok(match verb {
+        "run" => Command::Run(opts),
+        "compare" => Command::Compare(opts),
+        "analyze" => Command::Analyze(opts),
+        _ => Command::Diff(opts),
+    })
 }
 
 /// Parses `pdpa replay <trace.swf> [flags]`.
-fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_replay(args: &[String]) -> Result<Command, String> {
     let mut opts = ReplayOptions::default();
-    let mut policy_set = false;
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--policy" => {
-                let v = value_of("--policy", it)?;
-                opts.policy =
-                    PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?;
-                policy_set = true;
-            }
-            "--load" => {
-                let v = value_of("--load", it)?;
-                let load = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--load expects a number, got {v:?}"))?;
-                if !(load > 0.0 && load <= 2.0) {
-                    return Err(format!("--load {v} out of range (0, 2]"));
-                }
-                opts.load = Some(load);
-            }
-            "--cpus" => {
-                let v = value_of("--cpus", it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
-            "--window" => {
-                let v = value_of("--window", it)?;
-                opts.window = Some(parse_window(&v)?);
-            }
-            "--seed" => {
-                let v = value_of("--seed", it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--shards" => {
-                let v = value_of("--shards", it)?;
-                let shards = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--shards expects an integer, got {v:?}"))?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                opts.shards = Some(shards);
-            }
-            "--epoch" => {
-                let v = value_of("--epoch", it)?;
-                let epoch = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--epoch expects seconds, got {v:?}"))?;
-                if !(epoch > 0.0 && epoch.is_finite()) {
-                    return Err(format!("--epoch {v} must be a positive number of seconds"));
-                }
-                opts.epoch = Some(epoch);
-            }
-            "--diff-shards" => {
-                let v = value_of("--diff-shards", it)?;
-                let shards = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--diff-shards expects an integer, got {v:?}"))?;
-                if shards == 0 {
-                    return Err("--diff-shards must be at least 1".into());
-                }
-                opts.diff_shards = Some(shards);
-            }
+    let mut trace_path = None;
+    let mut policy = None;
+    let mut f = Flags::new("replay", args);
+    while let Some(arg) = f.next() {
+        match arg {
+            "--policy" => policy = Some(f.policy()?),
+            "--load" => opts.load = Some(f.load()?),
+            "--cpus" => opts.cpus = f.count()?,
+            "--window" => opts.window = Some(parse_window(&f.value()?)?),
+            "--seed" => opts.seed = f.int()?,
+            "--shards" => opts.shards = Some(f.count()?),
+            "--epoch" => opts.epoch = Some(f.seconds()?),
+            "--diff-shards" => opts.diff_shards = Some(f.count()?),
             "--json" => opts.json = true,
             "--obs" => opts.obs = true,
-            "--trace-out" => opts.trace_out = Some(value_of("--trace-out", it)?),
-            "--analyze-out" => opts.analyze_out = Some(value_of("--analyze-out", it)?),
-            "--faults" => opts.faults = Some(value_of("--faults", it)?),
-            "--profile-out" => opts.profile_out = Some(value_of("--profile-out", it)?),
-            "--obs-out" => opts.obs_out = Some(value_of("--obs-out", it)?),
+            "--trace-out" => opts.exports.trace_out = Some(f.value()?),
+            "--analyze-out" => opts.exports.analyze_out = Some(f.value()?),
+            "--faults" => opts.faults = Some(f.value()?),
+            "--profile-out" => opts.profile_out = Some(f.value()?),
+            "--obs-out" => opts.obs_out = Some(f.value()?),
             "--obs-format" => {
-                let v = value_of("--obs-format", it)?;
+                let v = f.value()?;
                 opts.obs_format = ObsFormat::parse(&v)
                     .ok_or_else(|| format!("--obs-format expects text or binary, got {v:?}"))?;
             }
             "--watchdog" => opts.watchdog = true,
             "--no-watchdog" => opts.watchdog = false,
-            "--heartbeat" => {
-                let v = value_of("--heartbeat", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--heartbeat expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!(
-                        "--heartbeat {v} must be a positive number of seconds"
-                    ));
-                }
-                opts.heartbeat = Some(secs);
-            }
-            "--serve" => opts.serve = Some(value_of("--serve", it)?),
+            "--heartbeat" => opts.heartbeat = Some(f.seconds()?),
+            "--serve" => opts.serve = Some(f.value()?),
             "--obs-filter" => {
-                let v = value_of("--obs-filter", it)?;
+                let v = f.value()?;
                 // Validate the kind list now so typos fail before a long
                 // replay starts; the filter is rebuilt from the spec later.
                 pdpa_obs::KindFilter::parse(&v).map_err(|e| format!("--obs-filter: {e}"))?;
                 opts.obs_filter = Some(v);
             }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            path => {
-                if !opts.trace_path.is_empty() {
-                    return Err(format!(
-                        "replay takes one trace path; got {:?} and {path:?}",
-                        opts.trace_path
-                    ));
-                }
-                opts.trace_path = path.to_string();
-            }
+            _ => f.positional(&mut trace_path, "trace path")?,
         }
     }
-    if opts.trace_path.is_empty() {
-        return Err("replay needs a trace path: `pdpa replay <trace.swf> --policy <p>`".into());
-    }
-    if !policy_set {
-        return Err("--policy is required for `pdpa replay`".into());
-    }
-    if opts.shards.is_some() && matches!(opts.policy, PolicyChoice::Irix | PolicyChoice::Gang) {
+    opts.trace_path =
+        trace_path.ok_or("replay needs a trace path: `pdpa replay <trace.swf> --policy <p>`")?;
+    opts.policy = policy.ok_or("--policy is required for `pdpa replay`")?;
+    if opts.shards.is_some()
+        && !matches!((opts.policy.build)().sharing(), SharingModel::SpaceShared)
+    {
         return Err(format!(
-            "--shards requires a space-sharing policy; {:?} is time-shared",
-            opts.policy
+            "--shards requires a space-sharing policy; {} is not one",
+            opts.policy.label
         ));
     }
     if opts.epoch.is_some() && opts.shards.is_none() {
@@ -758,259 +729,90 @@ fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Resul
 }
 
 /// Parses `pdpa watch <addr> [flags]`.
-fn parse_watch(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_watch(args: &[String]) -> Result<Command, String> {
     let mut opts = WatchOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut addr = None;
+    let mut f = Flags::new("watch", args);
+    while let Some(arg) = f.next() {
+        match arg {
             "--follow" => opts.follow = true,
             "--json" => opts.json = true,
-            "--tail" => {
-                let v = value_of("--tail", it)?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--tail expects an event count, got {v:?}"))?;
-                if n == 0 {
-                    return Err("--tail must be at least 1".into());
-                }
-                opts.tail = Some(n);
-            }
-            "--interval" => {
-                let v = value_of("--interval", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--interval expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!(
-                        "--interval {v} must be a positive number of seconds"
-                    ));
-                }
-                opts.interval = secs;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            addr => {
-                if !opts.addr.is_empty() {
-                    return Err(format!(
-                        "watch takes one address; got {:?} and {addr:?}",
-                        opts.addr
-                    ));
-                }
-                opts.addr = addr.to_string();
-            }
+            "--tail" => opts.tail = Some(f.count()?),
+            "--interval" => opts.interval = f.seconds()?,
+            _ => f.positional(&mut addr, "address")?,
         }
     }
-    if opts.addr.is_empty() {
-        return Err("watch needs the server address: `pdpa watch HOST:PORT`".into());
-    }
+    opts.addr = addr.ok_or("watch needs the server address: `pdpa watch HOST:PORT`")?;
     Ok(Command::Watch(opts))
 }
 
 /// Parses `pdpa daemon [flags]`.
-fn parse_daemon(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_daemon(args: &[String]) -> Result<Command, String> {
     let mut opts = DaemonOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = value_of("--addr", it)?,
-            "--policy" => {
-                let v = value_of("--policy", it)?;
-                opts.policy =
-                    PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?;
-            }
-            "--cpus" => {
-                let v = value_of("--cpus", it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                let v = value_of("--seed", it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
+    let mut f = Flags::new("daemon", args);
+    while let Some(arg) = f.next() {
+        match arg {
+            "--addr" => opts.addr = f.value()?,
+            "--policy" => opts.policy = f.policy()?,
+            "--cpus" => opts.cpus = f.count()?,
+            "--seed" => opts.seed = f.int()?,
             "--backfill" => opts.backfill = true,
-            "--max-queue" => {
-                let v = value_of("--max-queue", it)?;
-                opts.max_queue = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--max-queue expects an integer, got {v:?}"))?;
-                if opts.max_queue == 0 {
-                    return Err("--max-queue must be at least 1".into());
-                }
-            }
+            "--max-queue" => opts.max_queue = f.count()?,
             "--time-scale" => {
-                let v = value_of("--time-scale", it)?;
-                let scale = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--time-scale expects a number, got {v:?}"))?;
+                let (scale, v): (f64, _) = f.parsed("expects a number")?;
                 if !(scale >= 0.0 && scale.is_finite()) {
                     return Err(format!("--time-scale {v} must be finite and >= 0"));
                 }
                 opts.time_scale = scale;
             }
-            "--max-sim-secs" => {
-                let v = value_of("--max-sim-secs", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--max-sim-secs expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("--max-sim-secs {v} must be positive and finite"));
-                }
-                opts.max_sim_secs = Some(secs);
-            }
-            "--stream" => opts.stream = Some(value_of("--stream", it)?),
-            "--snapshot" => opts.snapshot = Some(value_of("--snapshot", it)?),
-            "--restore" => opts.restore = Some(value_of("--restore", it)?),
-            other => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
+            "--max-sim-secs" => opts.max_sim_secs = Some(f.seconds()?),
+            "--stream" => opts.stream = Some(f.value()?),
+            "--snapshot" => opts.snapshot = Some(f.value()?),
+            "--restore" => opts.restore = Some(f.value()?),
+            _ => return Err(f.unknown()),
         }
     }
     Ok(Command::Daemon(opts))
 }
 
 /// Parses `pdpa submit ADDR --class NAME [flags]`.
-fn parse_submit(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_submit(args: &[String]) -> Result<Command, String> {
     let mut opts = SubmitOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--class" => opts.class = value_of("--class", it)?,
-            "--request" => {
-                let v = value_of("--request", it)?;
-                let request = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--request expects an integer, got {v:?}"))?;
-                if request == 0 {
-                    return Err("--request must be at least 1".into());
-                }
-                opts.request = Some(request);
-            }
-            "--work-secs" => {
-                let v = value_of("--work-secs", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--work-secs expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("--work-secs {v} must be positive and finite"));
-                }
-                opts.work_secs = Some(secs);
-            }
-            "--count" => {
-                let v = value_of("--count", it)?;
-                opts.count = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--count expects an integer, got {v:?}"))?;
-                if opts.count == 0 {
-                    return Err("--count must be at least 1".into());
-                }
-            }
+    let mut addr = None;
+    let mut f = Flags::new("submit", args);
+    while let Some(arg) = f.next() {
+        match arg {
+            "--class" => opts.class = f.value()?,
+            "--request" => opts.request = Some(f.count()? as u64),
+            "--work-secs" => opts.work_secs = Some(f.seconds()?),
+            "--count" => opts.count = f.count()?,
             "--json" => opts.json = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            addr => {
-                if !opts.addr.is_empty() {
-                    return Err(format!(
-                        "submit takes one address; got {:?} and {addr:?}",
-                        opts.addr
-                    ));
-                }
-                opts.addr = addr.to_string();
-            }
+            _ => f.positional(&mut addr, "address")?,
         }
     }
-    if opts.addr.is_empty() {
-        return Err("submit needs the daemon address: `pdpa submit HOST:PORT --class swim`".into());
-    }
+    opts.addr =
+        addr.ok_or("submit needs the daemon address: `pdpa submit HOST:PORT --class swim`")?;
     Ok(Command::Submit(opts))
 }
 
 /// Parses `pdpa ctl ADDR ACTION [ARG] [flags]`.
-fn parse_ctl(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
-    let mut addr = String::new();
-    let mut action: Option<CtlAction> = None;
+fn parse_ctl(args: &[String]) -> Result<Command, String> {
+    let mut addr = None;
+    let mut action = None;
     let mut json = false;
-    let mut snapshot_flag: Option<String> = None;
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    // An optional positional value directly after the action verb.
-    let optional_positional =
-        |it: &mut std::iter::Peekable<std::slice::Iter<String>>| match it.peek() {
-            Some(next) if !next.starts_with('-') => it.next().cloned(),
-            _ => None,
-        };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut snapshot_flag = None;
+    let mut f = Flags::new("ctl", args);
+    while let Some(arg) = f.next() {
+        match arg {
             "--json" => json = true,
-            "--snapshot" => snapshot_flag = Some(value_of("--snapshot", it)?),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            word if addr.is_empty() => addr = word.to_string(),
-            word if action.is_none() => {
-                action = Some(match word {
-                    "hello" => CtlAction::Hello,
-                    "drain" => CtlAction::Drain,
-                    "snapshot" => CtlAction::Snapshot(optional_positional(it)),
-                    "shutdown" => CtlAction::Shutdown(None),
-                    "cancel" => {
-                        let v = it.next().ok_or("ctl cancel needs a job id")?;
-                        CtlAction::Cancel(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("ctl cancel expects a job id, got {v:?}"))?,
-                        )
-                    }
-                    "jobs" => CtlAction::Jobs(match optional_positional(it) {
-                        Some(v) => v
-                            .parse::<usize>()
-                            .map_err(|_| format!("ctl jobs expects a count, got {v:?}"))?,
-                        None => 20,
-                    }),
-                    "job" => {
-                        let v = it.next().ok_or("ctl job needs a job id")?;
-                        CtlAction::Job(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("ctl job expects a job id, got {v:?}"))?,
-                        )
-                    }
-                    other => {
-                        return Err(format!(
-                            "unknown ctl action {other:?} (hello, drain, snapshot, shutdown, \
-                             cancel, jobs, job)"
-                        ))
-                    }
-                });
-            }
-            extra => {
-                return Err(format!("unexpected ctl argument {extra:?}"));
-            }
+            "--snapshot" => snapshot_flag = Some(f.value()?),
+            _ if arg.starts_with('-') => return Err(f.unknown()),
+            _ if addr.is_none() => addr = Some(arg.to_string()),
+            _ if action.is_none() => action = Some(ctl_action(arg, &mut f)?),
+            extra => return Err(format!("unexpected ctl argument {extra:?}")),
         }
     }
-    if addr.is_empty() {
-        return Err("ctl needs the daemon address: `pdpa ctl HOST:PORT ACTION`".into());
-    }
+    let addr = addr.ok_or("ctl needs the daemon address: `pdpa ctl HOST:PORT ACTION`")?;
     let mut action = action.ok_or("ctl needs an action: `pdpa ctl HOST:PORT drain`")?;
     if let Some(path) = snapshot_flag {
         match &mut action {
@@ -1021,69 +823,48 @@ fn parse_ctl(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<C
     Ok(Command::Ctl(CtlOptions { addr, action, json }))
 }
 
+/// Parses a `pdpa ctl` action verb and its operand.
+fn ctl_action(word: &str, f: &mut Flags) -> Result<CtlAction, String> {
+    Ok(match word {
+        "hello" => CtlAction::Hello,
+        "drain" => CtlAction::Drain,
+        "snapshot" => CtlAction::Snapshot(f.optional_value()),
+        "shutdown" => CtlAction::Shutdown(None),
+        "cancel" => CtlAction::Cancel(operand(word, f.args.next(), "a job id")?),
+        "jobs" => CtlAction::Jobs(match f.optional_value() {
+            Some(v) => operand(word, Some(&v), "a count")?,
+            None => 20,
+        }),
+        "job" => CtlAction::Job(operand(word, f.args.next(), "a job id")?),
+        other => {
+            return Err(format!(
+                "unknown ctl action {other:?} (hello, drain, snapshot, shutdown, \
+                 cancel, jobs, job)"
+            ))
+        }
+    })
+}
+
+/// The number after the `ctl` action `word`.
+fn operand<T: FromStr>(word: &str, v: Option<&String>, what: &str) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("ctl {word} needs {what}"))?;
+    v.parse()
+        .map_err(|_| format!("ctl {word} expects {what}, got {v:?}"))
+}
+
 /// Parses `pdpa tournament [trace.swf] [flags]`.
-fn parse_tournament(
-    it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-) -> Result<Command, String> {
+fn parse_tournament(args: &[String]) -> Result<Command, String> {
     let mut opts = TournamentOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cpus" => {
-                let v = value_of("--cpus", it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                let v = value_of("--seed", it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--load" => {
-                let v = value_of("--load", it)?;
-                let load = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--load expects a number, got {v:?}"))?;
-                if !(load > 0.0 && load <= 2.0) {
-                    return Err(format!("--load {v} out of range (0, 2]"));
-                }
-                opts.load = Some(load);
-            }
-            "--duration" => {
-                let v = value_of("--duration", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--duration expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!(
-                        "--duration {v} must be a positive number of seconds"
-                    ));
-                }
-                opts.duration = Some(secs);
-            }
+    let mut f = Flags::new("tournament", args);
+    while let Some(arg) = f.next() {
+        match arg {
+            "--cpus" => opts.cpus = f.count()?,
+            "--seed" => opts.seed = f.int()?,
+            "--load" => opts.load = Some(f.load()?),
+            "--duration" => opts.duration = Some(f.seconds()?),
             "--json" => opts.json = true,
-            "--out" => opts.out = Some(value_of("--out", it)?),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            path => {
-                if opts.trace_path.is_some() {
-                    return Err(format!(
-                        "tournament takes one trace path; got {:?} and {path:?}",
-                        opts.trace_path.as_deref().unwrap_or("")
-                    ));
-                }
-                opts.trace_path = Some(path.to_string());
-            }
+            "--out" => opts.out = Some(f.value()?),
+            _ => f.positional(&mut opts.trace_path, "trace path")?,
         }
     }
     if opts.duration.is_some() && opts.trace_path.is_some() {
@@ -1117,6 +898,10 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn p(slug: &str) -> Policy {
+        pdpa_core::by_slug(slug).unwrap()
+    }
+
     #[test]
     fn empty_and_help() {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
@@ -1140,11 +925,11 @@ mod tests {
             panic!("expected Run")
         };
         assert_eq!(o.workload, Workload::W2);
-        assert_eq!(o.policy, Some(PolicyChoice::Pdpa));
+        assert_eq!(o.policy, Some(p("pdpa")));
         assert_eq!(o.load, 0.8);
         assert_eq!(o.seed, 7);
         assert_eq!(o.cpus, 32);
-        assert!(o.untuned && o.backfill && o.ascii && o.trace);
+        assert!(o.untuned && o.backfill && o.ascii && o.trace());
         assert_eq!(o.prv_out.as_deref(), Some("out.prv"));
         assert_eq!(o.swf_log.as_deref(), Some("log.swf"));
     }
@@ -1174,11 +959,11 @@ mod tests {
         let Command::Run(o) = cmd else {
             panic!("expected Run")
         };
-        assert!(o.obs && o.observing());
-        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(o.metrics_out.as_deref(), Some("m.json"));
-        assert_eq!(o.mpl_csv.as_deref(), Some("mpl.csv"));
-        assert!(!Options::default().observing());
+        assert!(o.obs && o.exports.records());
+        assert_eq!(o.exports.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(o.exports.metrics_out.as_deref(), Some("m.json"));
+        assert_eq!(o.exports.mpl_csv.as_deref(), Some("mpl.csv"));
+        assert!(!Options::default().exports.any());
         assert!(parse(&argv("run --workload w1 --policy pdpa --trace-out"))
             .unwrap_err()
             .contains("--trace-out"));
@@ -1203,15 +988,21 @@ mod tests {
     #[test]
     fn analyze_parses_like_run() {
         let cmd = parse(&argv(
-            "analyze --workload w1 --policy pdpa --analyze-out a.json",
+            "analyze --workload w1 --policy pdpa --analyze-out a.json --trace-out t.json \
+             --mpl-csv m.csv --metrics-out m.json",
         ))
         .unwrap();
         let Command::Analyze(o) = cmd else {
             panic!("expected Analyze")
         };
-        assert_eq!(o.policy, Some(PolicyChoice::Pdpa));
-        assert_eq!(o.analyze_out.as_deref(), Some("a.json"));
-        assert!(o.observing());
+        assert_eq!(o.policy, Some(p("pdpa")));
+        assert_eq!(o.exports.analyze_out.as_deref(), Some("a.json"));
+        assert_eq!(o.exports.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(o.exports.mpl_csv.as_deref(), Some("m.csv"));
+        assert_eq!(o.exports.metrics_out.as_deref(), Some("m.json"));
+        assert!(parse(&argv("analyze --workload w1 --policy pdpa --ascii"))
+            .unwrap_err()
+            .contains("only meaningful for `pdpa run`"));
         assert!(parse(&argv("analyze --workload w1"))
             .unwrap_err()
             .contains("--policy"));
@@ -1226,8 +1017,8 @@ mod tests {
         let Command::Diff(o) = cmd else {
             panic!("expected Diff")
         };
-        assert_eq!(o.policy, Some(PolicyChoice::Pdpa));
-        assert_eq!(o.policy_b, Some(PolicyChoice::Equipartition));
+        assert_eq!(o.policy, Some(p("pdpa")));
+        assert_eq!(o.policy_b, Some(p("equip")));
         assert_eq!(o.seed_b, Some(7));
         // The B-side flags are rejected everywhere else.
         assert!(
@@ -1238,19 +1029,6 @@ mod tests {
         assert!(parse(&argv("diff --workload w1 --policy pdpa --seed-b x"))
             .unwrap_err()
             .contains("--seed-b"));
-    }
-
-    #[test]
-    fn policy_aliases() {
-        assert_eq!(
-            PolicyChoice::parse("equal-efficiency"),
-            Some(PolicyChoice::EqualEfficiency)
-        );
-        assert_eq!(
-            PolicyChoice::parse("EQUIP"),
-            Some(PolicyChoice::Equipartition)
-        );
-        assert_eq!(PolicyChoice::parse("nonesuch"), None);
     }
 
     #[test]
@@ -1265,14 +1043,14 @@ mod tests {
             panic!("expected Replay")
         };
         assert_eq!(o.trace_path, "trace.swf");
-        assert_eq!(o.policy, PolicyChoice::Equipartition);
+        assert_eq!(o.policy, p("equip"));
         assert_eq!(o.load, Some(0.9));
         assert_eq!(o.cpus, 128);
         assert_eq!(o.window, Some((100.0, 5000.0)));
         assert_eq!(o.seed, 9);
         assert!(o.json && o.obs);
-        assert_eq!(o.analyze_out.as_deref(), Some("a.json"));
-        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(o.exports.analyze_out.as_deref(), Some("a.json"));
+        assert_eq!(o.exports.trace_out.as_deref(), Some("t.json"));
     }
 
     #[test]
@@ -1283,7 +1061,7 @@ mod tests {
             panic!("expected Replay")
         };
         assert_eq!(o.trace_path, "trace.swf");
-        assert_eq!(o.policy, PolicyChoice::Pdpa);
+        assert_eq!(o.policy, p("pdpa"));
         assert_eq!(o.load, None);
         assert_eq!(o.cpus, 60);
         assert_eq!(o.window, None);
@@ -1491,35 +1269,13 @@ mod tests {
     }
 
     #[test]
-    fn policy_slugs_are_stable() {
-        // Trajectory mode names (`replay-<slug>`) must never change, or
-        // the perf gate loses its baseline pairing.
-        assert_eq!(PolicyChoice::Pdpa.slug(), "pdpa");
-        assert_eq!(PolicyChoice::Equipartition.slug(), "equip");
-        assert_eq!(PolicyChoice::EqualEfficiency.slug(), "equal-eff");
-        assert_eq!(PolicyChoice::Hesrpt.slug(), "hesrpt");
-        assert_eq!(PolicyChoice::Optsplit.slug(), "optsplit");
-        assert_eq!(PolicyChoice::Learned.slug(), "learned");
-    }
-
-    #[test]
     fn literature_policies_parse_with_aliases() {
-        assert_eq!(PolicyChoice::parse("hesrpt"), Some(PolicyChoice::Hesrpt));
-        assert_eq!(PolicyChoice::parse("he-srpt"), Some(PolicyChoice::Hesrpt));
-        assert_eq!(
-            PolicyChoice::parse("opt-split"),
-            Some(PolicyChoice::Optsplit)
-        );
-        assert_eq!(
-            PolicyChoice::parse("learnedalloc"),
-            Some(PolicyChoice::Learned)
-        );
         // The new policies are space-shared, so sharded replay takes them.
-        let cmd = parse(&argv("replay t.swf --policy hesrpt --shards 2")).unwrap();
+        let cmd = parse(&argv("replay t.swf --policy he-srpt --shards 2")).unwrap();
         let Command::Replay(o) = cmd else {
             panic!("expected Replay")
         };
-        assert_eq!(o.policy, PolicyChoice::Hesrpt);
+        assert_eq!(o.policy, p("hesrpt"));
         assert_eq!(o.shards, Some(2));
     }
 
@@ -1583,7 +1339,7 @@ mod tests {
             panic!("expected Daemon")
         };
         assert_eq!(o.addr, "127.0.0.1:7777");
-        assert_eq!(o.policy, PolicyChoice::Rigid);
+        assert_eq!(o.policy, p("rigid"));
         assert_eq!(o.cpus, 8);
         assert_eq!(o.seed, 9);
         assert!(o.backfill);
@@ -1716,5 +1472,124 @@ mod tests {
         assert!(parse(&argv("run --workload w1 --policy pdpa --bogus"))
             .unwrap_err()
             .contains("--bogus"));
+    }
+
+    #[test]
+    fn the_trace_flag_is_gone_and_the_renderers_collect_the_trace() {
+        assert!(parse(&argv("run --workload w1 --policy pdpa --trace"))
+            .unwrap_err()
+            .contains("unknown option \"--trace\""));
+        let trace = |s: &str| match parse(&argv(s)).unwrap() {
+            Command::Run(o) => o.trace(),
+            other => panic!("expected Run, got {other:?}"),
+        };
+        assert!(!trace("run --workload w1 --policy pdpa --obs"));
+        assert!(trace("run --workload w1 --policy pdpa --ascii"));
+        assert!(trace("run --workload w1 --policy pdpa --prv-out x.prv"));
+    }
+
+    #[test]
+    fn compare_rejects_the_flags_it_ignores() {
+        for flag in ["--trace-out x.json", "--ascii", "--policy gang", "--obs"] {
+            let err = parse(&argv(&format!("compare --workload w1 {flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                err.starts_with(&format!("{name} is only meaningful for `pdpa run`")),
+                "{flag}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn diff_rejects_export_and_render_flags() {
+        for flag in [
+            "--mpl-csv a.csv",
+            "--analyze-out a.json",
+            "--prv-out x",
+            "--obs",
+        ] {
+            let err =
+                parse(&argv(&format!("diff --workload w1 --policy pdpa {flag}"))).unwrap_err();
+            assert!(
+                err.contains("is only meaningful for `pdpa run`"),
+                "{flag}: {err}"
+            );
+        }
+    }
+
+    /// A minimal invocation of `cmd` that parses.
+    fn base(cmd: &str) -> String {
+        match cmd {
+            "run" | "analyze" | "diff" => format!("{cmd} --workload w1 --policy pdpa"),
+            "compare" => "compare --workload w1".into(),
+            "replay" => "replay t.swf --policy pdpa".into(),
+            "watch" | "submit" => format!("{cmd} a:1"),
+            "ctl" => "ctl a:1 shutdown".into(),
+            other => other.into(),
+        }
+    }
+
+    #[test]
+    fn usage_synopsis_lists_exactly_the_flags_each_parser_accepts() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let usage = crate::USAGE;
+        let from = |heading: &str| &usage[usage.find(heading).unwrap()..];
+        // Command -> its synopsis flags; flag -> whether it takes a value.
+        let mut synopsis: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut arity: BTreeMap<&str, bool> = BTreeMap::new();
+        let mut cmd = "";
+        let commands = from("COMMANDS:").len();
+        let block = from("USAGE:");
+        for line in block[..block.len() - commands].lines().skip(1) {
+            if let Some(rest) = line.strip_prefix("  pdpa ") {
+                cmd = rest.split_whitespace().next().unwrap();
+            }
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let flags = synopsis.entry(cmd).or_default();
+            for (i, word) in words.iter().enumerate() {
+                let flag = word.trim_matches(|c| c == '[' || c == ']');
+                if flag.starts_with("--") {
+                    let takes = words.get(i + 1).is_some_and(|w| w.starts_with('<'));
+                    assert_eq!(*arity.entry(flag).or_insert(takes), takes, "{flag} arity");
+                    flags.insert(flag);
+                }
+            }
+        }
+        // OPTIONS documents exactly the synopsis flags.
+        let documented: BTreeSet<&str> = from("OPTIONS:")
+            .lines()
+            .filter(|l| l.starts_with("  --"))
+            .flat_map(|l| {
+                l.split_whitespace()
+                    .take_while(|w| w.starts_with("--") || *w == "/")
+            })
+            .filter(|w| *w != "/")
+            .collect();
+        assert_eq!(documented, arity.keys().copied().collect());
+        // Probe every parser with every flag.
+        for (cmd, listed) in &synopsis {
+            let accepted: BTreeSet<&str> = arity
+                .iter()
+                .filter(|&(flag, &takes)| {
+                    let mut args = argv(&base(cmd));
+                    args.push(flag.to_string());
+                    if takes {
+                        args.push("1".into());
+                    }
+                    match parse(&args) {
+                        Ok(_) => true,
+                        Err(e) => {
+                            !e.contains("unknown option")
+                                && !e.contains("only meaningful for `pdpa")
+                        }
+                    }
+                })
+                .map(|(flag, _)| *flag)
+                .collect();
+            assert_eq!(&accepted, listed, "`pdpa {cmd}` synopsis vs parser");
+        }
+        // The policy list is the roster's.
+        let slugs: Vec<&str> = pdpa_core::ROSTER.iter().map(|e| e.slug).collect();
+        assert!(usage.contains(&format!("--policy <{}>", slugs.join("|"))));
     }
 }

@@ -6,23 +6,15 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pdpa_analyze::{analysis_json, RunAnalysis, RunDiff};
+use pdpa_analyze::{RunAnalysis, RunDiff};
 use pdpa_apps::{paper_app, AppClass};
 use pdpa_bench::experiments::tournament::{run_tournament, TournamentConfig};
-use pdpa_bench::harness::BENCH_PATH;
+use pdpa_bench::harness::{Exports, BENCH_PATH};
 use pdpa_bench::trajectory::{git_rev, BenchReport, TrajectoryEntry};
-use pdpa_core::Pdpa;
+use pdpa_core::roster;
 use pdpa_engine::{Engine, EngineConfig, Instrumentation, RunResult};
 use pdpa_faults::FaultPlan;
-use pdpa_obs::metrics::Registry;
-use pdpa_obs::{
-    chrome_trace, metrics_json, mpl_series_csv, scope, FilterObserver, KindFilter, NullObserver,
-    Observer, RecordingObserver,
-};
-use pdpa_policies::{
-    EqualEfficiency, Equipartition, GangScheduler, HeSrpt, IrixLike, LearnedAlloc, OptSplit,
-    RigidFirstFit, SchedulingPolicy,
-};
+use pdpa_obs::{scope, FilterObserver, KindFilter, NullObserver, Observer, RecordingObserver};
 use pdpa_prof::{HealthSnapshot, HeartbeatConfig, HeartbeatSink, StderrHeartbeat, WatchdogConfig};
 use pdpa_qs::{shape, swf};
 use pdpa_trace::{render_ascii, to_paraver, RenderOptions};
@@ -32,7 +24,7 @@ use pdpa_watch::{
 };
 
 use crate::args::{
-    Command, CtlAction, CtlOptions, DaemonOptions, ObsFormat, Options, PolicyChoice, ReplayOptions,
+    Command, CtlAction, CtlOptions, DaemonOptions, ObsFormat, Options, Policy, ReplayOptions,
     SubmitOptions, TournamentOptions, WatchOptions,
 };
 use crate::USAGE;
@@ -73,18 +65,17 @@ impl HeartbeatSink for TeeHeartbeat {
     }
 }
 
-fn build_policy(choice: PolicyChoice) -> Box<dyn SchedulingPolicy> {
-    match choice {
-        PolicyChoice::Pdpa => Box::new(Pdpa::paper_default()),
-        PolicyChoice::Equipartition => Box::new(Equipartition::default()),
-        PolicyChoice::EqualEfficiency => Box::new(EqualEfficiency::paper_default()),
-        PolicyChoice::Irix => Box::new(IrixLike::paper_default()),
-        PolicyChoice::Rigid => Box::new(RigidFirstFit::paper_default()),
-        PolicyChoice::Gang => Box::new(GangScheduler::paper_comparable()),
-        PolicyChoice::Hesrpt => Box::new(HeSrpt::default()),
-        PolicyChoice::Optsplit => Box::new(OptSplit::default()),
-        PolicyChoice::Learned => Box::new(LearnedAlloc::default()),
+/// Writes the requested export files and appends one stdout line per file.
+fn write_exports(
+    out: &mut String,
+    exports: &Exports,
+    runs: &[(String, Vec<pdpa_obs::TimedEvent>)],
+) -> Result<(), String> {
+    for (what, path) in exports.write(runs, &[])? {
+        let (first, rest) = what.split_at(1);
+        let _ = writeln!(out, "\n{}{rest} written to {path}", first.to_uppercase());
     }
+    Ok(())
 }
 
 fn engine_config(opts: &Options) -> Result<EngineConfig, String> {
@@ -94,7 +85,7 @@ fn engine_config(opts: &Options) -> Result<EngineConfig, String> {
     if opts.backfill {
         config = config.with_backfill();
     }
-    if opts.trace {
+    if opts.trace() {
         config = config.with_trace();
     }
     if let Some(plan) = &opts.faults {
@@ -106,24 +97,23 @@ fn engine_config(opts: &Options) -> Result<EngineConfig, String> {
 
 fn execute_with(
     opts: &Options,
-    choice: PolicyChoice,
+    choice: Policy,
     observer: &mut dyn Observer,
 ) -> Result<RunResult, String> {
     let jobs = opts
         .workload
         .build_with_tuning(opts.load, opts.seed, !opts.untuned);
-    let result =
-        Engine::new(engine_config(opts)?).run_observed(jobs, build_policy(choice), observer);
+    let result = Engine::new(engine_config(opts)?).run_observed(jobs, (choice.build)(), observer);
     if !result.completed_all {
         return Err(format!(
-            "{:?} did not drain the workload within the simulation bound",
-            choice
+            "{} did not drain the workload within the simulation bound",
+            choice.label
         ));
     }
     Ok(result)
 }
 
-fn execute(opts: &Options, choice: PolicyChoice) -> Result<RunResult, String> {
+fn execute(opts: &Options, choice: Policy) -> Result<RunResult, String> {
     execute_with(opts, choice, &mut NullObserver)
 }
 
@@ -158,8 +148,9 @@ fn class_table(result: &RunResult) -> String {
 
 fn run_one(opts: &Options) -> Result<String, String> {
     let choice = opts.policy.expect("parser enforces --policy for run");
+    let observing = opts.obs || opts.exports.any();
     let mut recorder = RecordingObserver::new();
-    let result = if opts.observing() {
+    let result = if observing {
         // Attribute this run's registry counters to a CLI scope so the
         // metrics export distinguishes it from harness experiments.
         let _scope = scope::enter(&format!("cli-{}", opts.workload));
@@ -233,36 +224,13 @@ fn run_one(opts: &Options) -> Result<String, String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nSWF log written to {path}");
     }
-    if opts.observing() {
+    if observing {
         let events = recorder.take_events();
         if opts.obs {
             out.push_str(&event_kind_summary(&events));
         }
-        let runs = vec![(format!("{}-{}", opts.workload, result.policy), events)];
-        if let Some(path) = &opts.trace_out {
-            std::fs::write(path, chrome_trace(&runs))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = writeln!(out, "\nChrome trace written to {path}");
-        }
-        if let Some(path) = &opts.mpl_csv {
-            std::fs::write(path, mpl_series_csv(&runs))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = writeln!(out, "\nMPL series CSV written to {path}");
-        }
-        if let Some(path) = &opts.metrics_out {
-            std::fs::write(path, metrics_json(&Registry::global().snapshot(), &[]))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = writeln!(out, "\nMetrics JSON written to {path}");
-        }
-        if let Some(path) = &opts.analyze_out {
-            let analyses: Vec<(String, RunAnalysis)> = runs
-                .iter()
-                .map(|(key, events)| (key.clone(), RunAnalysis::from_events(events)))
-                .collect();
-            std::fs::write(path, analysis_json(&analyses))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = writeln!(out, "\nRun analysis JSON written to {path}");
-        }
+        let runs = [(format!("{}-{}", opts.workload, result.policy), events)];
+        write_exports(&mut out, &opts.exports, &runs)?;
     }
     Ok(out)
 }
@@ -283,11 +251,7 @@ fn analyze(opts: &Options) -> Result<String, String> {
             events.len()
         );
         out.push_str(&analysis.render_text());
-        if let Some(out_path) = &opts.analyze_out {
-            std::fs::write(out_path, analysis_json(&[(path.clone(), analysis)]))
-                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-            let _ = writeln!(out, "\nRun analysis JSON written to {out_path}");
-        }
+        write_exports(&mut out, &opts.exports, &[(path.clone(), events)])?;
         return Ok(out);
     }
     let choice = opts.policy.expect("parser enforces --policy for analyze");
@@ -323,12 +287,8 @@ fn analyze(opts: &Options) -> Result<String, String> {
             "WARNING: replayed migrations ({replayed}) != engine count ({engine_count})"
         );
     }
-    if let Some(path) = &opts.analyze_out {
-        let key = format!("{}-{}", opts.workload, result.policy);
-        std::fs::write(path, analysis_json(&[(key, analysis)]))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(out, "\nRun analysis JSON written to {path}");
-    }
+    let key = format!("{}-{}", opts.workload, result.policy);
+    write_exports(&mut out, &opts.exports, &[(key, events)])?;
     Ok(out)
 }
 
@@ -494,7 +454,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     let serve = match &opts.serve {
         Some(addr) => {
             let tap = LiveTap::new(RunMeta {
-                policy: build_policy(opts.policy).name().to_string(),
+                policy: (opts.policy.build)().name().to_string(),
                 trace: opts.trace_path.clone(),
                 shards: opts.shards.unwrap_or(1) as u64,
                 jobs_total: n_jobs as u64,
@@ -534,13 +494,13 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         match opts.shards {
             Some(shards) => engine.run_sharded_instrumented(
                 jobs,
-                build_policy(opts.policy),
+                (opts.policy.build)(),
                 shards,
                 opts.epoch.unwrap_or(pdpa_engine::shard::DEFAULT_EPOCH_SECS),
                 observer,
                 instr,
             ),
-            None => engine.run_instrumented(jobs, build_policy(opts.policy), observer, instr),
+            None => engine.run_instrumented(jobs, (opts.policy.build)(), observer, instr),
         }
     };
     let wall_secs = started.elapsed().as_secs_f64();
@@ -562,8 +522,8 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     }
     if !result.completed_all {
         return Err(format!(
-            "{:?} did not drain the trace within the simulation bound",
-            opts.policy
+            "{} did not drain the trace within the simulation bound",
+            opts.policy.label
         ));
     }
     let events = recorder.take_events();
@@ -627,7 +587,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             let _scope = scope::enter("cli-replay");
             Engine::new(config_b).run_sharded_instrumented(
                 jobs_b.expect("cloned when --diff-shards is set"),
-                build_policy(opts.policy),
+                (opts.policy.build)(),
                 shards_b,
                 opts.epoch.unwrap_or(pdpa_engine::shard::DEFAULT_EPOCH_SECS),
                 &mut rec_b,
@@ -639,13 +599,13 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         }
         if !result_b.completed_all {
             return Err(format!(
-                "{:?} at {shards_b} shards did not drain the trace within the simulation bound",
-                opts.policy
+                "{} at {shards_b} shards did not drain the trace within the simulation bound",
+                opts.policy.label
             ));
         }
         let events_b = rec_b.take_events();
-        let label_a = format!("{}-s{shards_a}", opts.policy.slug());
-        let label_b = format!("{}-s{shards_b}", opts.policy.slug());
+        let label_a = format!("{}-s{shards_a}", opts.policy.slug);
+        let label_b = format!("{}-s{shards_b}", opts.policy.slug);
         let run_diff = RunDiff::compare(&events, &events_b);
         if !run_diff.identical() {
             return Err(format!(
@@ -657,24 +617,16 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     }
 
     let key = match opts.shards {
-        Some(shards) => format!("replay-{}-s{shards}", opts.policy.slug()),
-        None => format!("replay-{}", opts.policy.slug()),
+        Some(shards) => format!("replay-{}-s{shards}", opts.policy.slug),
+        None => format!("replay-{}", opts.policy.slug),
     };
-    if let Some(path) = &opts.trace_out {
-        let runs = vec![(key.clone(), events.clone())];
-        std::fs::write(path, chrome_trace(&runs))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(out, "\nChrome trace written to {path}");
-    }
-    if let Some(path) = &opts.analyze_out {
-        std::fs::write(path, analysis_json(&[(key.clone(), analysis)]))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(out, "\nRun analysis JSON written to {path}");
-    }
+    let runs = [(key.clone(), events)];
+    write_exports(&mut out, &opts.exports, &runs)?;
+    let events = &runs[0].1;
     if let Some(path) = &opts.obs_out {
         let (bytes, fmt) = match opts.obs_format {
-            ObsFormat::Binary => (pdpa_obs::write_stream(&events), "binary"),
-            ObsFormat::Text => (pdpa_obs::write_text_stream(&events).into_bytes(), "text"),
+            ObsFormat::Binary => (pdpa_obs::write_stream(events), "binary"),
+            ObsFormat::Text => (pdpa_obs::write_text_stream(events).into_bytes(), "text"),
         };
         std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(
@@ -1001,7 +953,7 @@ fn watch(opts: &WatchOptions) -> Result<String, String> {
 /// summary.
 fn daemon(opts: &DaemonOptions) -> Result<String, String> {
     let config = pdpa_daemon::DaemonConfig {
-        policy: opts.policy.slug().to_string(),
+        policy: opts.policy.slug.to_string(),
         cpus: opts.cpus,
         seed: opts.seed,
         backfill: opts.backfill,
@@ -1184,14 +1136,7 @@ fn compare(opts: &Options) -> Result<String, String> {
         "{:<14} {:>10} {:>15} {:>14} {:>8} {:>12}",
         "policy", "makespan", "mean response", "p95 response", "maxML", "utilization"
     );
-    for choice in [
-        PolicyChoice::Irix,
-        PolicyChoice::Equipartition,
-        PolicyChoice::EqualEfficiency,
-        PolicyChoice::Rigid,
-        PolicyChoice::Gang,
-        PolicyChoice::Pdpa,
-    ] {
+    for choice in roster::pick(["irix", "equip", "equal-eff", "rigid", "gang", "pdpa"]) {
         let result = execute(opts, choice)?;
         let _ = writeln!(
             out,
@@ -1382,6 +1327,40 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.starts_with("{\"schema\":\"pdpa-analyze/v1\""));
         assert!(text.contains("w3-Equipartition"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn analyze_writes_all_four_exports() {
+        let dir = std::env::temp_dir().join("pdpa-cli-analyze-exports-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let [trace, csv, metrics, analysis] =
+            ["t.json", "mpl.csv", "m.json", "a.json"].map(|f| dir.join(f));
+        let out = run_cli(&format!(
+            "analyze --workload w1 --policy pdpa --trace-out {} --mpl-csv {} \
+             --metrics-out {} --analyze-out {}",
+            trace.display(),
+            csv.display(),
+            metrics.display(),
+            analysis.display()
+        ))
+        .unwrap();
+        for (file, line, head) in [
+            (&trace, "Chrome trace written to", "{"),
+            (&csv, "MPL series CSV written to", "run,sim_secs"),
+            (&metrics, "Metrics JSON written to", "{"),
+            (
+                &analysis,
+                "Run analysis JSON written to",
+                "{\"schema\":\"pdpa-analyze/v1\"",
+            ),
+        ] {
+            assert!(
+                out.contains(&format!("{line} {}", file.display())),
+                "in:\n{out}"
+            );
+            assert!(std::fs::read_to_string(file).unwrap().starts_with(head));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -45,22 +45,26 @@ USAGE:
   pdpa run     --workload <w1|w2|w3|w4>
                --policy <pdpa|equip|equal-eff|irix|rigid|gang|hesrpt|optsplit|learned>
                [--load <frac>] [--seed <n>] [--cpus <n>] [--untuned]
-               [--backfill] [--trace] [--ascii] [--prv-out <file>] [--swf-log <file>]
+               [--backfill] [--ascii] [--prv-out <file>] [--swf-log <file>]
                [--obs] [--trace-out <file>] [--metrics-out <file>] [--mpl-csv <file>]
                [--analyze-out <file>] [--faults <plan>]
   pdpa compare --workload <w1|w2|w3|w4> [--load <frac>] [--seed <n>] [--cpus <n>] [--untuned]
+               [--backfill] [--faults <plan>]
   pdpa analyze --workload <w1|w2|w3|w4> --policy <name>
-               [--load <frac>] [--seed <n>] [--cpus <n>] [--analyze-out <file>] [run options]
+               [--load <frac>] [--seed <n>] [--cpus <n>] [--untuned] [--backfill]
+               [--faults <plan>] [--trace-out <file>] [--metrics-out <file>]
+               [--mpl-csv <file>] [--analyze-out <file>]
   pdpa analyze --from-stream <file>   [--analyze-out <file>]
   pdpa diff    --workload <w1|w2|w3|w4> --policy <name>
                [--policy-b <name>] [--seed-b <n>] [--load <frac>] [--seed <n>] [--cpus <n>]
+               [--untuned] [--backfill] [--faults <plan>]
   pdpa diff    --from-stream <file> --from-stream-b <file>
   pdpa replay  <trace.swf> --policy <name>
                [--load <frac>] [--cpus <n>] [--window <start:end>] [--seed <n>]
                [--shards <n>] [--epoch <secs>] [--diff-shards <n>]
                [--json] [--obs] [--trace-out <file>] [--analyze-out <file>]
                [--obs-out <file>] [--obs-format <text|binary>] [--profile-out <file>]
-               [--no-watchdog] [--heartbeat <secs>] [--faults <plan>]
+               [--watchdog | --no-watchdog] [--heartbeat <secs>] [--faults <plan>]
                [--serve <addr>] [--obs-filter <kind,...>]
   pdpa tournament [<trace.swf>] [--cpus <n>] [--seed <n>] [--load <frac>]
                [--duration <secs>] [--json] [--out <file>]
@@ -116,12 +120,11 @@ OPTIONS:
   --policy     scheduling policy (required for run)
   --load       system load fraction, default 1.0
   --seed       workload/engine seed, default 42
-  --cpus       machine size, default 60
+  --cpus       machine size, default 60 (32 for daemon)
   --untuned    every application requests 30 processors (Tables 3/4)
   --backfill   scan the whole queue for an admissible job (not just the head)
-  --trace      collect the per-CPU activity trace
-  --ascii      print the Fig. 5 ASCII execution view (implies --trace)
-  --prv-out    write a Paraver .prv trace to a file (implies --trace)
+  --ascii      print the Fig. 5 ASCII execution view
+  --prv-out    write a Paraver .prv trace to a file
   --swf-log    write the completed run as an SWF log to a file
   --obs        print a decision-event summary after the metrics
   --trace-out  write the decision-event stream as Chrome trace_event JSON
@@ -137,8 +140,10 @@ OPTIONS:
   --epoch      replay only: barrier epoch in simulated seconds (with --shards)
   --diff-shards  replay only: replay again at this shard count and fail
                unless the two decision-event streams are identical
-  --json       replay only: append wall-clock + events/s (and, for sharded
-               replays, the per-shard event imbalance) to BENCH_pdpa.json
+  --json       replay: append wall-clock + events/s (and, for sharded
+               replays, the per-shard event imbalance) to BENCH_pdpa.json;
+               tournament: append one entry per entrant to BENCH_pdpa.json;
+               watch/submit/ctl: print the raw protocol response lines
   --obs-out    replay only: write the decision-event stream to a file
   --obs-format replay only: --obs-out encoding, text (default) or the
                PDPAOBS1 length-prefixed binary framing
@@ -165,6 +170,7 @@ OPTIONS:
                waiting jobs are rejected with queue_full (default 64)
   --time-scale daemon only: simulated seconds advanced per wall-clock
                second (default 1.0; 0 freezes time between requests)
+  --max-sim-secs  daemon only: override the simulation horizon, seconds
   --stream     daemon only: append the decision-event stream to this file
                (restores continue it without repeating events)
   --snapshot   daemon only: default snapshot path for `ctl snapshot` and
@@ -177,6 +183,7 @@ OPTIONS:
   --work-secs  submit only: rescale the job to this much sequential work
   --count      submit only: submit this many identical jobs (default 1)
   --tail       watch only: also fetch the newest N observer events
+  --interval   watch only: seconds between --follow polls (default 1)
   --duration   tournament only: submission window of the generated trace
                in seconds (conflicts with a trace file)
   --out        tournament only: write the ranked report as JSON

@@ -15,7 +15,8 @@
 //!
 //! The public entry point is [`Pdpa`], which implements
 //! [`pdpa_policies::SchedulingPolicy`] and can be handed to the execution
-//! engine exactly like any baseline policy.
+//! engine exactly like any baseline policy. [`ROSTER`] lists it with every
+//! baseline under the stable names the tools select policies by.
 //!
 //! # Example
 //!
@@ -31,9 +32,11 @@
 pub mod mlevel;
 pub mod params;
 pub mod pdpa;
+pub mod roster;
 pub mod state;
 
 pub use mlevel::{ml_allows_start, MlSnapshot};
 pub use params::{PdpaParams, TargetMode};
 pub use pdpa::Pdpa;
+pub use roster::{by_slug, RosterEntry, ROSTER};
 pub use state::{evaluate, AppState, Transition};

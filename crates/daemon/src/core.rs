@@ -29,13 +29,12 @@ use pdpa_watch::{
 
 use crate::journal::{Op, Snapshot, SnapshotCheck, SnapshotConfig, SNAPSHOT_FORMAT};
 use crate::observer::{DaemonObserver, StreamHandle};
-use crate::policy::{known_policies, policy_from_slug};
 use crate::registry::RunRegistry;
 
 /// Everything a daemon needs to open (or restore) its session.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// Policy slug (see [`crate::policy_from_slug`]).
+    /// Policy slug (see [`pdpa_core::roster`]).
     pub policy: String,
     /// Machine size.
     pub cpus: usize,
@@ -200,13 +199,15 @@ impl DaemonCore {
         first_kept_seq: u64,
         barrier_secs: Option<f64>,
     ) -> Result<DaemonCore, String> {
-        let policy = policy_from_slug(&config.policy).ok_or_else(|| {
+        let entry = pdpa_core::by_slug(&config.policy).ok_or_else(|| {
+            let known: Vec<&str> = pdpa_core::ROSTER.iter().map(|e| e.slug).collect();
             format!(
                 "unknown policy '{}' (known: {})",
                 config.policy,
-                known_policies().join(", ")
+                known.join(", ")
             )
         })?;
+        let policy = (entry.build)();
         let mut engine_config = EngineConfig::default()
             .with_seed(config.seed ^ 0xA5A5)
             .with_cpus(config.cpus);
@@ -623,5 +624,11 @@ mod tests {
         })
         .expect_err("unknown policy");
         assert!(err.contains("mystery"), "got: {err}");
+        assert!(
+            err.ends_with(
+                "(known: pdpa, equip, equal-eff, irix, rigid, gang, hesrpt, optsplit, learned)"
+            ),
+            "got: {err}"
+        );
     }
 }

@@ -128,7 +128,7 @@ impl Op {
 /// equivalent fresh session.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotConfig {
-    /// Policy slug ([`crate::policy_from_slug`] vocabulary).
+    /// Policy slug (the [`pdpa_core::roster`] vocabulary).
     pub policy: String,
     /// Machine size.
     pub cpus: usize,

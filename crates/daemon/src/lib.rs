@@ -37,12 +37,10 @@
 pub mod core;
 pub mod journal;
 pub mod observer;
-pub mod policy;
 pub mod registry;
 pub mod serve;
 
 pub use crate::core::{DaemonConfig, DaemonCore};
 pub use journal::{Op, Snapshot, SnapshotCheck, SnapshotConfig, SNAPSHOT_FORMAT};
-pub use policy::{known_policies, policy_from_slug};
 pub use registry::RunRegistry;
 pub use serve::{bind_daemon, Daemon};

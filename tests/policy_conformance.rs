@@ -10,31 +10,24 @@
 //! - for space-sharing policies, the shard count of the parallel engine
 //!   is invisible in the results.
 //!
-//! New policies get these guarantees by being added to [`roster`]; nothing
-//! else in the suite is policy-specific.
+//! New policies get these guarantees by being added to the policy roster
+//! (`pdpa_core::ROSTER`), which [`roster`] reads; nothing else in the
+//! suite is policy-specific.
 
 use std::collections::HashMap;
 
 use pdpa_suite::obs::{ObsEvent, Observer, RecordingObserver};
-use pdpa_suite::policies::GangScheduler;
 use pdpa_suite::prelude::*;
 use pdpa_suite::sim::CpuId;
 
 type PolicyFactory = fn() -> Box<dyn SchedulingPolicy>;
 
-/// Every registered policy, old and new, by slug.
+/// Every policy on the roster, by slug.
 fn roster() -> Vec<(&'static str, PolicyFactory)> {
-    vec![
-        ("pdpa", || Box::new(Pdpa::paper_default())),
-        ("equip", || Box::new(Equipartition::default())),
-        ("equal_eff", || Box::new(EqualEfficiency::paper_default())),
-        ("rigid", || Box::new(RigidFirstFit::paper_default())),
-        ("irix", || Box::new(IrixLike::paper_default())),
-        ("gang", || Box::new(GangScheduler::paper_comparable())),
-        ("hesrpt", || Box::new(HeSrpt::default())),
-        ("optsplit", || Box::new(OptSplit::default())),
-        ("learned", || Box::new(LearnedAlloc::default())),
-    ]
+    pdpa_suite::core::ROSTER
+        .iter()
+        .map(|e| (e.slug, e.build))
+        .collect()
 }
 
 /// The space-sharing subset: the policies whose allocations partition the
