@@ -697,11 +697,21 @@ fn replay_entry(
     }
 }
 
+/// Connects to a live server with Nagle off, so each request line leaves
+/// as soon as it is written, and a 30 s read timeout.
+fn connect_live(addr: &str) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("{addr}: {e}"))?;
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    Ok(stream)
+}
+
 /// Sends `requests` down one connection to a `--serve` replay and returns
 /// the responses in order.
 fn query_live(addr: &str, requests: &[Request]) -> Result<Vec<Response>, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let stream = connect_live(addr)?;
     let mut writer = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut responses = Vec::with_capacity(requests.len());
@@ -718,6 +728,16 @@ fn query_live(addr: &str, requests: &[Request]) -> Result<Vec<Response>, String>
         }
         let response = Response::parse_line(line.trim_end())
             .map_err(|e| format!("{addr}: bad response: {e}"))?;
+        if let (0, ResponseBody::Reject(reject)) = (response.id, &response.body) {
+            let retry = reject
+                .retry_after_secs
+                .map(|secs| format!("; retry after {secs}s"))
+                .unwrap_or_default();
+            return Err(format!(
+                "{addr}: server refused the connection: {}{retry}",
+                reject.reason
+            ));
+        }
         if response.id != request.id {
             return Err(format!(
                 "{addr}: response id {} for request id {}",
@@ -1655,6 +1675,44 @@ mod tests {
         server.shutdown();
         let err = run_cli(&format!("watch {addr}")).unwrap_err();
         assert!(err.contains("cannot connect"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn live_client_sockets_have_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stream = connect_live(&addr).expect("connects");
+        assert!(stream.nodelay().expect("reads TCP_NODELAY"));
+    }
+
+    #[test]
+    fn a_refused_connection_reports_the_servers_code() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accepts");
+            // Read the request first, so the close is not a reset.
+            let mut request = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut request)
+                .expect("reads");
+            let refusal = Response {
+                id: 0,
+                body: ResponseBody::Reject(pdpa_watch::RejectBody {
+                    reason: "busy".to_string(),
+                    retry_after_secs: Some(1.0),
+                }),
+            };
+            stream
+                .write_all(format!("{}\n", refusal.to_line()).as_bytes())
+                .expect("writes");
+        });
+        let err = run_cli(&format!("ctl {addr} hello")).unwrap_err();
+        assert!(
+            err.ends_with("server refused the connection: busy; retry after 1s"),
+            "got: {err}"
+        );
+        server.join().expect("server thread");
     }
 
     #[test]

@@ -153,7 +153,9 @@ impl DaemonCore {
     /// Unknown policy slug, invalid engine config, or an unwritable
     /// stream path.
     pub fn new(config: DaemonConfig) -> Result<DaemonCore, String> {
-        Self::build(config, Vec::new(), false, 0, None)
+        let core = Self::open(config, false, 0)?;
+        core.publish_progress();
+        Ok(core)
     }
 
     /// Restores a daemon from the snapshot file at `path`. The engine
@@ -169,9 +171,17 @@ impl DaemonCore {
     /// # Errors
     ///
     /// Unreadable/malformed snapshot, unknown policy, or an integrity
-    /// check failure.
+    /// check failure. Every error starts with `path` and locates the
+    /// problem: a byte offset, or the snapshot field or journal entry
+    /// at fault.
     pub fn restore(path: &str, runtime: DaemonConfig) -> Result<DaemonCore, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = String::from_utf8(text).map_err(|e| {
+            format!(
+                "{path}: byte {}: not UTF-8 text",
+                e.utf8_error().valid_up_to()
+            )
+        })?;
         let snap = Snapshot::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         let config = DaemonConfig {
             policy: snap.config.policy.clone(),
@@ -181,23 +191,26 @@ impl DaemonCore {
             max_sim_secs: Some(snap.config.max_sim_secs),
             ..runtime
         };
-        let core = Self::build(
-            config,
-            snap.ops.clone(),
-            snap.draining,
-            snap.check.events_published,
-            Some(snap.barrier_secs),
-        )?;
+        let mut core = Self::open(config, snap.draining, snap.check.events_published)
+            .map_err(|e| format!("{path}: {e}"))?;
+        for (i, op) in snap.ops.into_iter().enumerate() {
+            core.replay_op(op)
+                .map_err(|e| format!("{path}: ops[{i}]: journal replay: {e}"))?;
+        }
+        core.session
+            .run_until(SimTime::from_secs(snap.barrier_secs));
+        core.tap.set_jobs_total(core.session.total_jobs() as u64);
+        core.publish_progress();
         core.verify_check(path, &snap.check)?;
         Ok(core)
     }
 
-    fn build(
+    /// A core over a fresh session whose stream writing starts at
+    /// observer event `first_kept_seq`.
+    fn open(
         config: DaemonConfig,
-        ops: Vec<Op>,
         draining: bool,
         first_kept_seq: u64,
-        barrier_secs: Option<f64>,
     ) -> Result<DaemonCore, String> {
         let entry = pdpa_core::by_slug(&config.policy).ok_or_else(|| {
             let known: Vec<&str> = pdpa_core::ROSTER.iter().map(|e| e.slug).collect();
@@ -241,7 +254,7 @@ impl DaemonCore {
             stream.clone(),
         );
         let session = EngineSession::new(engine_config, policy, Box::new(observer))?;
-        let mut core = DaemonCore {
+        Ok(DaemonCore {
             session,
             config,
             tap,
@@ -250,16 +263,7 @@ impl DaemonCore {
             stream,
             journal: Vec::new(),
             draining,
-        };
-        for op in ops {
-            core.replay_op(op)?;
-        }
-        if let Some(barrier) = barrier_secs {
-            core.session.run_until(SimTime::from_secs(barrier));
-        }
-        core.tap.set_jobs_total(core.session.total_jobs() as u64);
-        core.publish_progress();
-        Ok(core)
+        })
     }
 
     fn replay_op(&mut self, op: Op) -> Result<(), String> {
@@ -270,13 +274,12 @@ impl DaemonCore {
                 request,
                 work_secs,
             } => {
-                let app = materialize(class, *request, *work_secs)
-                    .map_err(|e| format!("journal replay: {e}"))?;
+                let app = materialize(class, *request, *work_secs)?;
                 let request = app.request;
                 let (eff, job) = self.session.submit(SimTime::from_secs(*at_secs), app);
                 if eff.as_secs() != *at_secs {
                     return Err(format!(
-                        "journal replay: submit journaled at {at_secs}s landed at {}s — \
+                        "submit journaled at {at_secs}s landed at {}s — \
                          the journal is not a fixed point",
                         eff.as_secs()
                     ));
@@ -285,11 +288,10 @@ impl DaemonCore {
                     .admit(u64::from(job.0), class, request, eff.as_secs());
             }
             Op::Cancel { at_secs, job } => {
-                let (eff, outcome) = self
-                    .session
-                    .cancel(SimTime::from_secs(*at_secs), JobId(*job as u32));
+                let id = u32::try_from(*job).map_err(|_| format!("cancel of unknown job {job}"))?;
+                let (eff, outcome) = self.session.cancel(SimTime::from_secs(*at_secs), JobId(id));
                 if outcome == CancelOutcome::NotFound {
-                    return Err(format!("journal replay: cancel of unknown job {job}"));
+                    return Err(format!("cancel of unknown job {job}"));
                 }
                 self.registry.mark_cancelled(*job, eff.as_secs());
             }
@@ -302,7 +304,7 @@ impl DaemonCore {
         let got = self.check();
         if got != *expect {
             return Err(format!(
-                "{path}: snapshot integrity check failed — the replayed session does not \
+                "{path}: check: snapshot integrity check failed — the replayed session does not \
                  match the snapshotted one.\n  expected: {expect:?}\n  rebuilt:  {got:?}"
             ));
         }

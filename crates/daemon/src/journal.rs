@@ -20,11 +20,20 @@
 //! Rejected submissions are never journaled — backpressure leaves no
 //! trace in the simulation, so it must leave none in the journal.
 //!
-//! The format is a single JSON document (one per file), written and
-//! parsed with the workspace's one JSON codec, [`pdpa_obs::json`]. Like
-//! the wire protocol it evolves
-//! additively: readers ignore unknown fields, and `format`/`proto`
-//! mismatches fail loudly instead of guessing.
+//! The format is a single JSON document (one per file, newline-terminated),
+//! written and parsed with the workspace's one JSON codec,
+//! [`pdpa_obs::json`]. Its last member, `digest`, seals it: the FNV-1a 64
+//! hash of every byte before that member, so a truncated or bit-flipped
+//! file fails to parse or fails the seal instead of restoring a run that
+//! differs from the snapshotted one. Like the wire protocol the format
+//! evolves additively: readers ignore unknown fields of a sealed
+//! document, and `format`/`proto` mismatches fail loudly instead of
+//! guessing. Documents written before the seal existed still restore;
+//! they must carry exactly the unsealed v1 fields.
+//!
+//! Every parse error is located: it starts with the byte offset of a
+//! syntax error or the path of the offending field (`config.cpus`,
+//! `ops[3].at_secs`, `digest`).
 
 use std::fmt::Write as _;
 
@@ -33,6 +42,52 @@ use pdpa_watch::PROTO_VERSION;
 
 /// Magic format tag; the first field of every snapshot file.
 pub const SNAPSHOT_FORMAT: &str = "pdpa-snapshot/v1";
+
+/// Opens the sealing member, the last of every written snapshot.
+const DIGEST_MEMBER: &str = ",\"digest\":\"";
+
+/// The top-level fields of an unsealed document, the only ones it may
+/// carry.
+const UNSEALED_FIELDS: [&str; 7] = [
+    "format",
+    "proto",
+    "config",
+    "draining",
+    "barrier_secs",
+    "ops",
+    "check",
+];
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `obj[key]` read by `get`, or a located error naming `path.key`.
+fn field<'a, T>(
+    obj: &'a Value,
+    path: &str,
+    key: &str,
+    get: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, String> {
+    obj.get(key)
+        .and_then(get)
+        .ok_or_else(|| format!("{path}{key}: missing or of the wrong type"))
+}
+
+/// A simulated instant or span: present, finite and non-negative.
+fn secs(obj: &Value, path: &str, key: &str) -> Result<f64, String> {
+    let v = field(obj, path, key, Value::as_f64)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(format!(
+            "{path}{key}: {v} is not a finite, non-negative time"
+        ))
+    }
+}
 
 /// One journaled mutation, with the *effective* (cursor-clamped) instant
 /// the session applied it at.
@@ -92,34 +147,29 @@ impl Op {
         }
     }
 
-    fn parse(doc: &Value) -> Result<Op, String> {
-        let kind = doc
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or("op entry missing 'op'")?;
-        let at_secs = doc
-            .get("at_secs")
-            .and_then(Value::as_f64)
-            .ok_or("op entry missing 'at_secs'")?;
+    /// Parses journal entry `index`.
+    fn parse(doc: &Value, index: usize) -> Result<Op, String> {
+        let path = format!("ops[{index}].");
+        let kind = field(doc, &path, "op", Value::as_str)?;
+        let at_secs = secs(doc, &path, "at_secs")?;
         match kind {
             "submit" => Ok(Op::Submit {
                 at_secs,
-                class: doc
-                    .get("class")
-                    .and_then(Value::as_str)
-                    .ok_or("submit op missing 'class'")?
-                    .to_string(),
-                request: doc.get("request").and_then(Value::as_u64),
-                work_secs: doc.get("work_secs").and_then(Value::as_f64),
+                class: field(doc, &path, "class", Value::as_str)?.to_string(),
+                request: match doc.get("request") {
+                    None => None,
+                    Some(_) => Some(field(doc, &path, "request", Value::as_u64)?),
+                },
+                work_secs: match doc.get("work_secs") {
+                    None => None,
+                    Some(_) => Some(secs(doc, &path, "work_secs")?),
+                },
             }),
             "cancel" => Ok(Op::Cancel {
                 at_secs,
-                job: doc
-                    .get("job")
-                    .and_then(Value::as_u64)
-                    .ok_or("cancel op missing 'job'")?,
+                job: field(doc, &path, "job", Value::as_u64)?,
             }),
-            other => Err(format!("unknown op kind '{other}'")),
+            other => Err(format!("{path}op: unknown op kind '{other}'")),
         }
     }
 }
@@ -180,8 +230,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot as one JSON document (plus trailing
-    /// newline, so the file is a well-formed text file).
+    /// Serializes the snapshot as one sealed JSON document plus a
+    /// trailing newline, so the file is a well-formed text file.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.ops.len() * 64);
         let _ = write!(
@@ -216,7 +266,7 @@ impl Snapshot {
             out,
             "],\"check\":{{\"events_published\":{},\"pushed\":{},\"popped\":{},\
              \"stale_drops\":{},\"jobs_submitted\":{},\"jobs_finished\":{},\
-             \"jobs_failed\":{},\"clock_secs\":{}}}}}",
+             \"jobs_failed\":{},\"clock_secs\":{}}}",
             c.events_published,
             c.pushed,
             c.popped,
@@ -226,70 +276,75 @@ impl Snapshot {
             c.jobs_failed,
             fmt_f64(c.clock_secs)
         );
-        out.push('\n');
-        out
+        seal(out)
     }
 
-    /// Parses a snapshot document, refusing unknown formats and frames
-    /// from a newer protocol than this build speaks.
+    /// Parses a snapshot document, refusing unknown formats, frames from
+    /// a newer protocol than this build speaks, and sealed documents
+    /// whose digest does not match. Errors are located (see the
+    /// [module docs](self)).
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let format = doc
-            .get("format")
-            .and_then(Value::as_str)
-            .ok_or("snapshot missing 'format'")?;
+        let body = text.strip_suffix('\n').ok_or_else(|| {
+            format!(
+                "byte {}: no final newline; the file is cut short",
+                text.len()
+            )
+        })?;
+        let doc = json::parse(body).map_err(|e| format!("byte {}: {}", e.at, e.message))?;
+        let format = field(&doc, "", "format", Value::as_str)?;
         if format != SNAPSHOT_FORMAT {
             return Err(format!(
-                "unsupported snapshot format '{format}' (this build reads {SNAPSHOT_FORMAT})"
+                "format: unsupported snapshot format '{format}' (this build reads {SNAPSHOT_FORMAT})"
             ));
         }
-        let proto = doc
-            .get("proto")
-            .and_then(Value::as_u64)
-            .ok_or("snapshot missing 'proto'")?;
+        let proto = field(&doc, "", "proto", Value::as_u64)?;
         if proto > PROTO_VERSION {
             return Err(format!(
-                "snapshot written by proto v{proto}, this build speaks v{PROTO_VERSION}"
+                "proto: snapshot written by proto v{proto}, this build speaks v{PROTO_VERSION}"
             ));
         }
-        let cfg = doc.get("config").ok_or("snapshot missing 'config'")?;
+        match doc.get("digest") {
+            Some(digest) => verify_seal(body, digest)?,
+            None => {
+                if let Value::Obj(members) = &doc {
+                    if let Some((key, _)) = members
+                        .iter()
+                        .find(|(k, _)| !UNSEALED_FIELDS.contains(&k.as_str()))
+                    {
+                        return Err(format!(
+                            "{key}: unknown field in an unsealed snapshot (no 'digest')"
+                        ));
+                    }
+                }
+            }
+        }
+        let cfg = field(&doc, "", "config", Some)?;
+        let policy = field(cfg, "config.", "policy", Value::as_str)?;
+        if pdpa_core::by_slug(policy).is_none() {
+            return Err(format!("config.policy: unknown policy '{policy}'"));
+        }
+        let cpus = field(cfg, "config.", "cpus", Value::as_u64)?;
+        if cpus == 0 {
+            return Err("config.cpus: a machine needs processors".to_string());
+        }
+        let max_sim_secs = secs(cfg, "config.", "max_sim_secs")?;
+        if max_sim_secs == 0.0 {
+            return Err("config.max_sim_secs: the horizon must be positive".to_string());
+        }
         let config = SnapshotConfig {
-            policy: cfg
-                .get("policy")
-                .and_then(Value::as_str)
-                .ok_or("config missing 'policy'")?
-                .to_string(),
-            cpus: cfg
-                .get("cpus")
-                .and_then(Value::as_u64)
-                .ok_or("config missing 'cpus'")? as usize,
-            seed: cfg
-                .get("seed")
-                .and_then(Value::as_u64)
-                .ok_or("config missing 'seed'")?,
-            backfill: matches!(cfg.get("backfill"), Some(Value::Bool(true))),
-            max_sim_secs: cfg
-                .get("max_sim_secs")
-                .and_then(Value::as_f64)
-                .ok_or("config missing 'max_sim_secs'")?,
+            policy: policy.to_string(),
+            cpus: cpus as usize,
+            seed: field(cfg, "config.", "seed", Value::as_u64)?,
+            backfill: field(cfg, "config.", "backfill", Value::as_bool)?,
+            max_sim_secs,
         };
-        let barrier_secs = doc
-            .get("barrier_secs")
-            .and_then(Value::as_f64)
-            .ok_or("snapshot missing 'barrier_secs'")?;
-        let ops = doc
-            .get("ops")
-            .and_then(Value::as_arr)
-            .ok_or("snapshot missing 'ops'")?
+        let ops = field(&doc, "", "ops", Value::as_arr)?
             .iter()
-            .map(Op::parse)
+            .enumerate()
+            .map(|(i, op)| Op::parse(op, i))
             .collect::<Result<Vec<_>, _>>()?;
-        let chk = doc.get("check").ok_or("snapshot missing 'check'")?;
-        let count = |key: &str| -> Result<u64, String> {
-            chk.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("check missing '{key}'"))
-        };
+        let chk = field(&doc, "", "check", Some)?;
+        let count = |key: &str| field(chk, "check.", key, Value::as_u64);
         let check = SnapshotCheck {
             events_published: count("events_published")?,
             pushed: count("pushed")?,
@@ -298,20 +353,44 @@ impl Snapshot {
             jobs_submitted: count("jobs_submitted")?,
             jobs_finished: count("jobs_finished")?,
             jobs_failed: count("jobs_failed")?,
-            clock_secs: chk
-                .get("clock_secs")
-                .and_then(Value::as_f64)
-                .ok_or("check missing 'clock_secs'")?,
+            clock_secs: secs(chk, "check.", "clock_secs")?,
         };
         Ok(Snapshot {
             proto,
             config,
-            draining: matches!(doc.get("draining"), Some(Value::Bool(true))),
-            barrier_secs,
+            draining: field(&doc, "", "draining", Value::as_bool)?,
+            barrier_secs: secs(&doc, "", "barrier_secs")?,
             ops,
             check,
         })
     }
+}
+
+/// Closes a document whose last member has been written with the digest
+/// member, the closing brace and the newline.
+fn seal(mut open: String) -> String {
+    let digest = fnv1a64(open.as_bytes());
+    let _ = writeln!(open, "{DIGEST_MEMBER}{digest:016x}\"}}");
+    open
+}
+
+/// Checks that `digest` is the last member of `body`, spelled as the
+/// writer spells it, and that it hashes everything before it.
+fn verify_seal(body: &str, digest: &Value) -> Result<(), String> {
+    let hex = digest
+        .as_str()
+        .filter(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .ok_or("digest: not 16 lowercase hex digits")?;
+    let sealed = body
+        .strip_suffix(&format!("{DIGEST_MEMBER}{hex}\"}}"))
+        .ok_or("digest: not the document's last member")?;
+    let content = fnv1a64(sealed.as_bytes());
+    if format!("{content:016x}") != hex {
+        return Err(format!(
+            "digest: integrity check failed, the content hashes to {content:016x}, not {hex}"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -399,14 +478,83 @@ mod tests {
         assert!(err.contains("proto"), "got: {err}");
     }
 
+    /// The sampled document up to its digest member.
+    fn open_sample() -> String {
+        let text = sample().to_json();
+        text[..text.rfind(DIGEST_MEMBER).expect("sealed")].to_string()
+    }
+
     #[test]
     fn unknown_fields_are_ignored() {
         // Additive evolution: a v1 reader skips fields it does not know.
-        let text = sample().to_json().replace(
+        let text = seal(open_sample().replace(
             "\"draining\":false",
             "\"draining\":false,\"future_field\":[1,2]",
-        );
+        ));
         assert_eq!(Snapshot::parse(&text).expect("parses"), sample());
+    }
+
+    #[test]
+    fn unsealed_documents_parse_with_exactly_the_v1_fields() {
+        let unsealed = format!("{}}}\n", open_sample());
+        assert_eq!(Snapshot::parse(&unsealed).expect("parses"), sample());
+        let extra = unsealed.replace("\"draining\":false", "\"draining\":false,\"dhgest\":1");
+        let err = Snapshot::parse(&extra).expect_err("unknown field refused");
+        assert!(err.starts_with("dhgest: "), "got: {err}");
+    }
+
+    #[test]
+    fn a_broken_seal_is_refused() {
+        let text = sample().to_json();
+        let err = Snapshot::parse(&text.replace("\"cpus\":32", "\"cpus\":33"))
+            .expect_err("edited content refused");
+        assert!(
+            err.starts_with("digest: integrity check failed"),
+            "got: {err}"
+        );
+        let err = Snapshot::parse(text.trim_end()).expect_err("cut file refused");
+        assert!(err.contains("cut short"), "got: {err}");
+    }
+
+    #[test]
+    fn out_of_range_values_name_their_field() {
+        for (needle, replacement, locator) in [
+            ("\"at_secs\":10.25", "\"at_secs\":-1", "ops[1].at_secs: "),
+            (
+                "\"work_secs\":120.5",
+                "\"work_secs\":1e400",
+                "ops[1].work_secs: ",
+            ),
+            ("\"request\":16", "\"request\":\"16\"", "ops[0].request: "),
+            (
+                "\"barrier_secs\":1234.5",
+                "\"barrier_secs\":-2",
+                "barrier_secs: ",
+            ),
+            ("\"cpus\":32", "\"cpus\":0", "config.cpus: "),
+            (
+                "\"max_sim_secs\":600000",
+                "\"max_sim_secs\":0",
+                "config.max_sim_secs: ",
+            ),
+            (
+                "\"policy\":\"pdpa\"",
+                "\"policy\":\"pdpq\"",
+                "config.policy: ",
+            ),
+            ("\"backfill\":true", "\"backfill\":1", "config.backfill: "),
+            (
+                "\"clock_secs\":1200",
+                "\"clock_secs\":null",
+                "check.clock_secs: ",
+            ),
+        ] {
+            let open = open_sample();
+            assert!(open.contains(needle), "{needle}");
+            let err =
+                Snapshot::parse(&seal(open.replace(needle, replacement))).expect_err(replacement);
+            assert!(err.starts_with(locator), "{replacement}: got {err}");
+        }
     }
 
     #[test]
@@ -415,7 +563,7 @@ mod tests {
             ("\"op\":\"submit\",\"at_secs\":0,", "\"op\":\"submit\","),
             ("\"op\":\"cancel\"", "\"op\":\"explode\""),
         ] {
-            let text = sample().to_json().replace(needle, replacement);
+            let text = seal(open_sample().replace(needle, replacement));
             assert!(Snapshot::parse(&text).is_err(), "accepted: {replacement}");
         }
     }

@@ -14,6 +14,13 @@
 //!   liveness probes keep working even while the core is deep inside a
 //!   long `drain`.
 //!
+//! Every control op is timed on its way through: the wait from
+//! `try_send` until the loop receives it (`request_op_wait_ns`) and the
+//! [`DaemonCore::handle`] call itself (`request_engine_step_ns`), both
+//! log₂ histograms in the global registry next to the server's parse and
+//! reply-write stages, so the `metrics` reply carries the whole
+//! request-path budget.
+//!
 //! The channel bound is the daemon's second backpressure layer: when ops
 //! arrive faster than the core retires them, `try_send` fails and the
 //! client gets an explicit `busy` rejection with a retry hint — the
@@ -24,6 +31,8 @@
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use pdpa_obs::{Histogram, Registry};
 
 use pdpa_watch::{
     ControlHandler, HelloBody, LiveTap, RejectBody, RequestKind, ResponseBody, StatusServer,
@@ -41,6 +50,8 @@ const TICK: Duration = Duration::from_millis(20);
 
 struct ControlMsg {
     kind: RequestKind,
+    /// When the connection thread handed the op to the channel.
+    sent: Instant,
     reply: std::sync::mpsc::Sender<ResponseBody>,
 }
 
@@ -70,6 +81,7 @@ impl ControlHandler for DaemonControl {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         match self.ops.try_send(ControlMsg {
             kind: kind.clone(),
+            sent: Instant::now(),
             reply: reply_tx,
         }) {
             Ok(()) => match reply_rx.recv_timeout(CONTROL_TIMEOUT) {
@@ -88,6 +100,8 @@ pub struct Daemon {
     server: StatusServer,
     ops: Receiver<ControlMsg>,
     started: Instant,
+    op_wait_ns: Arc<Histogram>,
+    step_ns: Arc<Histogram>,
 }
 
 impl std::fmt::Debug for Daemon {
@@ -117,6 +131,8 @@ impl Daemon {
             server,
             ops: ops_rx,
             started: Instant::now(),
+            op_wait_ns: Registry::global().histogram("request_op_wait_ns"),
+            step_ns: Registry::global().histogram("request_engine_step_ns"),
         })
     }
 
@@ -131,9 +147,12 @@ impl Daemon {
         loop {
             match self.ops.recv_timeout(TICK) {
                 Ok(msg) => {
+                    self.op_wait_ns.record_since(msg.sent);
                     let is_shutdown = matches!(msg.kind, RequestKind::Shutdown { .. });
                     let wall = self.started.elapsed().as_secs_f64();
+                    let step_started = Instant::now();
                     let body = self.core.handle(&msg.kind, wall);
+                    self.step_ns.record_since(step_started);
                     let accepted = !matches!(body, ResponseBody::Reject(_));
                     let _ = msg.reply.send(body);
                     if is_shutdown && accepted {

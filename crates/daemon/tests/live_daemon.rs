@@ -257,3 +257,33 @@ fn hello_answers_even_without_a_serve_loop() {
     drop(client);
     drop(daemon);
 }
+
+#[test]
+fn metrics_reply_carries_the_request_path_budget() {
+    with_daemon(quiet(), None, |client| {
+        let ResponseBody::Ack(_) = client.ask(submit("swim")) else {
+            panic!("expected submit ack");
+        };
+        // Same connection: the submit's stages are recorded before this
+        // request is read.
+        let ResponseBody::Metrics { body, .. } = client.ask(RequestKind::Metrics) else {
+            panic!("expected metrics body");
+        };
+        for stage in [
+            "request_parse_ns",
+            "request_op_wait_ns",
+            "request_engine_step_ns",
+            "request_reply_write_ns",
+        ] {
+            let series = format!("pdpa_{stage}_count ");
+            let count: u64 = body
+                .lines()
+                .find_map(|line| line.strip_prefix(&series))
+                .unwrap_or_else(|| panic!("no {series}in:\n{body}"))
+                .parse()
+                .expect("count parses");
+            assert!(count > 0, "{stage} recorded nothing");
+        }
+        client.ask(RequestKind::Shutdown { snapshot: None });
+    });
+}

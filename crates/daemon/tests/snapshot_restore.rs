@@ -151,15 +151,22 @@ fn restore_refuses_a_tampered_snapshot() {
     core.advance_to(400.0);
     core.snapshot_to(&snap.to_string_lossy()).expect("snapshot");
 
-    // Flip a check counter: the rebuilt session can no longer match.
+    // Edit a check counter: the digest no longer matches the content.
     let text = std::fs::read_to_string(&snap).expect("snapshot text");
     let needle = "\"jobs_submitted\":1";
     assert!(text.contains(needle), "snapshot shape changed: {text}");
-    std::fs::write(&snap, text.replace(needle, "\"jobs_submitted\":2")).expect("tamper");
-
+    let tampered = text.replace(needle, "\"jobs_submitted\":2");
+    std::fs::write(&snap, &tampered).expect("tamper");
     let err = DaemonCore::restore(&snap.to_string_lossy(), DaemonConfig::default())
         .expect_err("tampered snapshot must fail the integrity check");
-    assert!(err.contains("integrity"), "got: {err}");
+    assert!(err.contains("digest: integrity"), "got: {err}");
+
+    // Without the seal, the rebuilt session still disagrees with the
+    // edited counter.
+    std::fs::write(&snap, unsealed(&tampered)).expect("unseal");
+    let err = DaemonCore::restore(&snap.to_string_lossy(), DaemonConfig::default())
+        .expect_err("tampered snapshot must fail the integrity check");
+    assert!(err.contains("check: snapshot integrity"), "got: {err}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -200,5 +207,129 @@ fn snapshot_restores_draining_state_and_registry() {
         }]
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `text` without its `digest` member: the shape of a snapshot written
+/// before snapshots were sealed.
+fn unsealed(text: &str) -> String {
+    let cut = text.rfind(",\"digest\":\"").expect("sealed snapshot");
+    format!("{}}}\n", &text[..cut])
+}
+
+/// Asserts `err` names the file and then a location: a byte offset or
+/// the path of a snapshot field or journal entry.
+fn assert_located(path: &str, err: &str, what: &str) {
+    let rest = err
+        .strip_prefix(path)
+        .and_then(|rest| rest.strip_prefix(": "))
+        .unwrap_or_else(|| panic!("{what}: error does not name the file: {err}"));
+    let (locator, _) = rest
+        .split_once(": ")
+        .unwrap_or_else(|| panic!("{what}: error has no location: {err}"));
+    let at_byte = locator
+        .strip_prefix("byte ")
+        .is_some_and(|n| n.parse::<usize>().is_ok());
+    let at_field = !locator.is_empty() && !locator.contains(char::is_whitespace);
+    assert!(at_byte || at_field, "{what}: unlocated error: {err}");
+}
+
+/// Restores `data` from a scratch file, catching panics.
+fn restore_bytes(
+    file: &std::path::Path,
+    data: &[u8],
+) -> std::thread::Result<Result<DaemonCore, String>> {
+    std::fs::write(file, data).expect("write corrupt snapshot");
+    let path = file.to_string_lossy().into_owned();
+    std::panic::catch_unwind(|| {
+        DaemonCore::restore(
+            &path,
+            DaemonConfig {
+                time_scale: 0.0,
+                ..DaemonConfig::default()
+            },
+        )
+    })
+}
+
+/// Every prefix and every single-bit flip of one real snapshot.
+fn corruptions(bytes: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let cuts = (0..bytes.len()).map(|len| (format!("cut to {len} bytes"), bytes[..len].to_vec()));
+    let flips = (0..bytes.len() * 8).map(|i| {
+        let mut flipped = bytes.to_vec();
+        flipped[i / 8] ^= 1 << (i % 8);
+        (format!("bit {} of byte {} flipped", i % 8, i / 8), flipped)
+    });
+    cuts.chain(flips)
+}
+
+fn phase_one_snapshot(dir: &std::path::Path) -> Vec<u8> {
+    let mut core = DaemonCore::new(config(&dir.join("edge.stream"))).expect("core");
+    phase_one(&mut core);
+    let snap = dir.join("good.snapshot");
+    core.snapshot_to(&snap.to_string_lossy()).expect("snapshot");
+    std::fs::read(&snap).expect("snapshot bytes")
+}
+
+#[test]
+fn truncated_or_bit_flipped_snapshots_fail_located_and_never_panic() {
+    let dir = scratch_dir("edge");
+    let bytes = phase_one_snapshot(&dir);
+    let file = dir.join("corrupt.snapshot");
+    let path = file.to_string_lossy().into_owned();
+    for (what, data) in corruptions(&bytes) {
+        match restore_bytes(&file, &data) {
+            Err(_) => panic!("{what}: restore panicked"),
+            Ok(Ok(_)) => panic!("{what}: restore accepted a corrupted snapshot"),
+            Ok(Err(err)) => assert_located(&path, &err, &what),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupted_unsealed_snapshots_never_panic() {
+    // Without the digest a flip can yield another valid snapshot, so a
+    // restore may succeed; what must hold is no panic and located errors.
+    let dir = scratch_dir("edge-unsealed");
+    let sealed = phase_one_snapshot(&dir);
+    let bytes = unsealed(std::str::from_utf8(&sealed).expect("UTF-8")).into_bytes();
+    let file = dir.join("corrupt.snapshot");
+    let path = file.to_string_lossy().into_owned();
+    assert!(restore_bytes(&file, &bytes).expect("no panic").is_ok());
+    for (what, data) in corruptions(&bytes) {
+        match restore_bytes(&file, &data) {
+            Err(_) => panic!("{what}: restore panicked"),
+            Ok(Ok(_)) => {}
+            Ok(Err(err)) => assert_located(&path, &err, &what),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cancel_of_a_job_id_past_u32_is_refused_not_truncated() {
+    let dir = scratch_dir("edge-cancel");
+    let sealed = phase_one_snapshot(&dir);
+    let text = unsealed(std::str::from_utf8(&sealed).expect("UTF-8"));
+    let needle = "{\"op\":\"cancel\",\"at_secs\":2000,\"job\":3}";
+    assert!(text.contains(needle), "snapshot shape changed: {text}");
+    // 2^32 + 3 would alias job 3 if truncated to a u32.
+    let wide = text.replace(
+        needle,
+        "{\"op\":\"cancel\",\"at_secs\":2000,\"job\":4294967299}",
+    );
+    let file = dir.join("wide.snapshot");
+    let err = match restore_bytes(&file, wide.as_bytes()).expect("no panic") {
+        Ok(_) => panic!("restore accepted a cancel of job 4294967299"),
+        Err(err) => err,
+    };
+    let path = file.to_string_lossy();
+    assert!(
+        err.starts_with(&format!(
+            "{path}: ops[4]: journal replay: cancel of unknown job"
+        )),
+        "got: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -121,6 +121,12 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Records the nanoseconds elapsed since `started` (saturating).
+    pub fn record_since(&self, started: Instant) {
+        let ns = started.elapsed().as_nanos();
+        self.record(u64::try_from(ns).unwrap_or(u64::MAX));
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -444,8 +450,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let ns = self.started.elapsed().as_nanos();
-        self.hist.record(ns.min(u64::MAX as u128) as u64);
+        self.hist.record_since(self.started);
     }
 }
 

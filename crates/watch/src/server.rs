@@ -8,26 +8,63 @@
 //! registry; server threads never touch engine state, so a slow or
 //! misbehaving client cannot perturb the run.
 //!
+//! Every accepted socket has Nagle's algorithm off (`TCP_NODELAY`): a
+//! reply is one small segment, and holding it back for the client's
+//! delayed ACK would cost more than the whole request path. Each reply
+//! is therefore a single `write_all` of the line and its newline.
+//!
+//! The network edge is bounded: a request line longer than 64 KiB gets
+//! `reject "frame_too_long"`, a frame whose newline does not follow its
+//! first byte within 10 s gets `reject "frame_timeout"`, and both close
+//! the connection; a connection idle for 120 s is closed silently; past
+//! 256 open connections a new one gets `reject "busy"` and is closed
+//! without a thread. The parse and reply-write stages of every request
+//! are timed into the `request_parse_ns` and `request_reply_write_ns`
+//! histograms of the global registry.
+//!
 //! Lifecycle: the CLI binds before the run starts (printing the actual
 //! bound address, so `--serve 127.0.0.1:0` works for CI), lets the run
 //! drive, then calls [`StatusServer::wait_for_final_query`] so a polling
 //! client can observe the terminal state before the process exits, and
 //! finally [`StatusServer::shutdown`].
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pdpa_obs::Registry;
+use pdpa_obs::{Histogram, Registry};
 
 use crate::prom::prometheus_text;
 use crate::proto::{
     HelloBody, RejectBody, Request, RequestKind, Response, ResponseBody, RunState, PROTO_VERSION,
 };
 use crate::tap::LiveTap;
+
+/// The server's network-edge bounds.
+#[derive(Clone, Copy, Debug)]
+struct Limits {
+    /// Longest request line, newline excluded.
+    max_frame: usize,
+    /// Time from a frame's first byte to its newline.
+    frame_deadline: Duration,
+    /// Time a connection may sit with no frame in progress.
+    idle: Duration,
+    /// Connections served at once.
+    max_connections: u64,
+}
+
+const LIMITS: Limits = Limits {
+    max_frame: 64 * 1024,
+    frame_deadline: Duration::from_secs(10),
+    idle: Duration::from_secs(120),
+    max_connections: 256,
+};
+
+/// Retry hint sent with the connection-cap `busy`, wall seconds.
+const BUSY_RETRY_SECS: f64 = 1.0;
 
 /// Serves the v2 control vocabulary (`submit`, `cancel`, `drain`,
 /// `snapshot`, `shutdown`, `jobs`, `job`, and the `hello` identity
@@ -57,26 +94,35 @@ impl ControlHandler for ReadOnlyControl {
                 policy: tap.status_body().policy,
                 state: tap.state(),
             }),
-            _ => ResponseBody::Reject(RejectBody {
-                reason: "not_a_daemon".to_string(),
-                retry_after_secs: None,
-            }),
+            _ => reject("not_a_daemon", None),
         }
     }
 }
 
+fn reject(reason: &str, retry_after_secs: Option<f64>) -> ResponseBody {
+    ResponseBody::Reject(RejectBody {
+        reason: reason.to_string(),
+        retry_after_secs,
+    })
+}
+
 /// Shared bookkeeping between the accept loop, connection handlers, and
 /// the owning CLI thread.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ServerShared {
     stop: AtomicBool,
-    /// Connections accepted over the server's lifetime.
+    /// Connections served over the server's lifetime.
     accepted: AtomicU64,
     /// Currently open connections.
     active: AtomicU64,
     /// Set once any request has been answered while the tap was in a
     /// terminal state — a client has seen the final status.
     final_query_served: AtomicBool,
+    limits: Limits,
+    /// `Request::parse_line` wall time per request.
+    parse_ns: Arc<Histogram>,
+    /// Reply `write_all` wall time per request.
+    reply_ns: Arc<Histogram>,
 }
 
 /// A running status server. Dropping it without [`StatusServer::shutdown`]
@@ -104,9 +150,27 @@ impl StatusServer {
         tap: Arc<LiveTap>,
         handler: Arc<dyn ControlHandler>,
     ) -> std::io::Result<StatusServer> {
+        Self::bind_limited(addr, tap, handler, LIMITS)
+    }
+
+    fn bind_limited<A: ToSocketAddrs>(
+        addr: A,
+        tap: Arc<LiveTap>,
+        handler: Arc<dyn ControlHandler>,
+        limits: Limits,
+    ) -> std::io::Result<StatusServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(ServerShared::default());
+        let registry = Registry::global();
+        let shared = Arc::new(ServerShared {
+            stop: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            active: AtomicU64::new(0),
+            final_query_served: AtomicBool::new(false),
+            limits,
+            parse_ns: registry.histogram("request_parse_ns"),
+            reply_ns: registry.histogram("request_reply_write_ns"),
+        });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("pdpa-serve".into())
@@ -116,17 +180,24 @@ impl StatusServer {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    if accept_shared.active.load(Ordering::Relaxed) >= limits.max_connections {
+                        refuse(&stream, reject("busy", Some(BUSY_RETRY_SECS)));
+                        continue;
+                    }
                     accept_shared.accepted.fetch_add(1, Ordering::Relaxed);
                     accept_shared.active.fetch_add(1, Ordering::Relaxed);
                     let tap = Arc::clone(&tap);
                     let shared = Arc::clone(&accept_shared);
                     let handler = Arc::clone(&handler);
-                    let _ = std::thread::Builder::new()
+                    let spawned = std::thread::Builder::new()
                         .name("pdpa-serve-conn".into())
                         .spawn(move || {
                             handle_connection(stream, &tap, handler.as_ref(), &shared);
                             shared.active.fetch_sub(1, Ordering::Relaxed);
                         });
+                    if spawned.is_err() {
+                        accept_shared.active.fetch_sub(1, Ordering::Relaxed);
+                    }
                 }
             })?;
         Ok(StatusServer {
@@ -141,7 +212,7 @@ impl StatusServer {
         self.local_addr
     }
 
-    /// Connections accepted so far.
+    /// Connections served so far (those turned away at the cap excluded).
     pub fn connections(&self) -> u64 {
         self.shared.accepted.load(Ordering::Relaxed)
     }
@@ -178,38 +249,149 @@ impl StatusServer {
     }
 }
 
+/// The setup every accepted socket gets: Nagle off, and reads that give
+/// up after `idle`.
+fn configure_accepted(stream: &TcpStream, idle: Duration) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(idle))
+}
+
+/// Answers a connection the server will not serve with one id-0 `body`
+/// line and closes it. Input that has already arrived is read off first:
+/// closing a socket with unread input sends a reset, which can discard
+/// the reply before the client reads it.
+fn refuse(stream: &TcpStream, body: ResponseBody) {
+    let mut line = Response { id: 0, body }.to_line();
+    line.push('\n');
+    let mut stream = stream;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.write_all(line.as_bytes());
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 4096];
+        for _ in 0..16 {
+            if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+                break;
+            }
+        }
+    }
+}
+
+/// How [`read_frame`] ended.
+#[derive(Debug, PartialEq)]
+enum Frame {
+    /// A complete line is in the buffer, newline stripped.
+    Line,
+    /// The client hung up, went idle, or the socket failed.
+    Closed,
+    /// The line outgrew [`Limits::max_frame`].
+    TooLong,
+    /// The line's newline missed [`Limits::frame_deadline`].
+    TimedOut,
+}
+
+/// Reads one `\n`-terminated frame into `frame`. The socket's idle read
+/// timeout applies until the frame's first byte; from then on the frame
+/// deadline does, so a client cannot hold the thread by trickling bytes.
+/// Like `BufRead::lines`, an unterminated last line before EOF counts.
+fn read_frame(reader: &mut BufReader<TcpStream>, frame: &mut Vec<u8>, limits: &Limits) -> Frame {
+    frame.clear();
+    let mut deadline = None;
+    let outcome = loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e)
+                if deadline.is_some()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                break Frame::TimedOut
+            }
+            Err(_) => break Frame::Closed,
+        };
+        if chunk.is_empty() {
+            break if frame.is_empty() {
+                Frame::Closed
+            } else {
+                Frame::Line
+            };
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = newline.unwrap_or(chunk.len());
+        if frame.len() + body > limits.max_frame {
+            break Frame::TooLong;
+        }
+        frame.extend_from_slice(&chunk[..body]);
+        reader.consume(newline.map_or(body, |i| i + 1));
+        if newline.is_some() {
+            break Frame::Line;
+        }
+        let due = *deadline.get_or_insert_with(|| Instant::now() + limits.frame_deadline);
+        let left = due.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            break Frame::TimedOut;
+        }
+    };
+    if deadline.is_some() && outcome == Frame::Line {
+        let _ = reader.get_ref().set_read_timeout(Some(limits.idle));
+    }
+    if frame.last() == Some(&b'\r') {
+        frame.pop();
+    }
+    outcome
+}
+
 fn handle_connection(
     stream: TcpStream,
     tap: &LiveTap,
     handler: &dyn ControlHandler,
     shared: &ServerShared,
 ) {
-    // A stuck client should not pin a handler thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
+    let limits = shared.limits;
+    if configure_accepted(&stream, limits.idle).is_err() {
+        return;
+    }
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut frame = Vec::new();
+    loop {
+        match read_frame(&mut reader, &mut frame, &limits) {
+            Frame::Line => {}
+            Frame::Closed => break,
+            Frame::TooLong => {
+                refuse(reader.get_ref(), reject("frame_too_long", None));
+                break;
+            }
+            Frame::TimedOut => {
+                refuse(reader.get_ref(), reject("frame_timeout", None));
+                break;
+            }
+        }
+        let Ok(line) = std::str::from_utf8(&frame) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let response = match Request::parse_line(&line) {
+        let parse_started = Instant::now();
+        let parsed = Request::parse_line(line);
+        shared.parse_ns.record_since(parse_started);
+        let response = match parsed {
             Ok(request) => answer(&request, tap, handler),
             Err(message) => Response {
                 id: 0,
                 body: ResponseBody::Error { message },
             },
         };
-        if writer
-            .write_all(format!("{}\n", response.to_line()).as_bytes())
-            .is_err()
-        {
-            break;
-        }
-        if writer.flush().is_err() {
+        let mut reply = response.to_line();
+        reply.push('\n');
+        let write_started = Instant::now();
+        let written = writer.write_all(reply.as_bytes());
+        shared.reply_ns.record_since(write_started);
+        if written.is_err() {
             break;
         }
         if tap.state() != RunState::Running && !matches!(response.body, ResponseBody::Error { .. })
@@ -258,6 +440,199 @@ mod tests {
             out.push(Response::parse_line(reply.trim_end()).expect("parses"));
         }
         out
+    }
+
+    fn hello_line(id: u64) -> String {
+        Request {
+            id,
+            kind: RequestKind::Hello,
+        }
+        .to_line()
+    }
+
+    /// Asserts that a fresh, well-behaved client is served.
+    fn assert_serves(addr: SocketAddr) {
+        let responses = query(addr, &[hello_line(9)]);
+        assert_eq!(responses[0].id, 9);
+        assert!(matches!(responses[0].body, ResponseBody::Hello(_)));
+    }
+
+    /// Reads the one id-0 reject a refused connection gets, then expects
+    /// the server to have closed the connection.
+    fn read_refusal(reader: &mut BufReader<TcpStream>) -> RejectBody {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads the refusal");
+        let response = Response::parse_line(line.trim_end()).expect("parses");
+        assert_eq!(response.id, 0);
+        let ResponseBody::Reject(reject) = response.body else {
+            panic!("expected a reject, got {:?}", response.body);
+        };
+        let mut rest = String::new();
+        let closed = matches!(reader.read_line(&mut rest), Ok(0) | Err(_));
+        assert!(closed, "connection still open after the refusal: {rest:?}");
+        reject
+    }
+
+    fn read_only_server(limits: Limits) -> StatusServer {
+        StatusServer::bind_limited(
+            "127.0.0.1:0",
+            LiveTap::new(RunMeta::default()),
+            Arc::new(ReadOnlyControl),
+            limits,
+        )
+        .expect("binds")
+    }
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connects");
+        let (accepted, _) = listener.accept().expect("accepts");
+        configure_accepted(&accepted, LIMITS.idle).expect("configures");
+        assert!(accepted.nodelay().expect("reads TCP_NODELAY"));
+        assert_eq!(accepted.read_timeout().unwrap(), Some(LIMITS.idle));
+    }
+
+    #[test]
+    fn oversize_line_is_refused_and_the_server_keeps_serving() {
+        let server = read_only_server(LIMITS);
+        let addr = server.local_addr();
+        // Exactly at the bound is still a frame (a malformed one).
+        let at_bound = query(addr, &["x".repeat(LIMITS.max_frame)]);
+        assert!(matches!(at_bound[0].body, ResponseBody::Error { .. }));
+
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        let oversize = "x".repeat(LIMITS.max_frame + 1);
+        stream.write_all(oversize.as_bytes()).expect("writes");
+        let reject = read_refusal(&mut BufReader::new(stream));
+        assert_eq!(reject.reason, "frame_too_long");
+        assert!(reject.retry_after_secs.is_none());
+        assert_serves(addr);
+        server.shutdown();
+    }
+
+    #[test]
+    fn slowloris_client_is_dropped_at_the_frame_deadline() {
+        let server = read_only_server(Limits {
+            frame_deadline: Duration::from_millis(200),
+            idle: Duration::from_secs(30),
+            ..LIMITS
+        });
+        let addr = server.local_addr();
+        let stream = TcpStream::connect(addr).expect("connects");
+        let mut trickle = stream.try_clone().expect("clones");
+        // One byte every 20 ms, never a newline: each byte arrives well
+        // inside any per-read timeout, so only a whole-frame deadline
+        // ends it.
+        let trickler = std::thread::spawn(move || {
+            for _ in 0..500 {
+                if trickle.write_all(b"x").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let reject = read_refusal(&mut BufReader::new(stream));
+        assert_eq!(reject.reason, "frame_timeout");
+        assert_serves(addr);
+        trickler.join().expect("trickler");
+
+        // A frame begun and then abandoned also ends at the deadline,
+        // long before the idle timeout would.
+        let mut stalled = TcpStream::connect(addr).expect("connects");
+        let started = Instant::now();
+        stalled.write_all(b"{\"id\":1,").expect("writes");
+        let reject = read_refusal(&mut BufReader::new(stalled));
+        assert_eq!(reject.reason, "frame_timeout");
+        assert!(
+            started.elapsed() < Duration::from_secs(15),
+            "the idle timeout, not the frame deadline, ended the frame"
+        );
+        assert_serves(addr);
+        server.shutdown();
+    }
+
+    #[test]
+    fn mid_frame_disconnect_frees_the_connection() {
+        let server = read_only_server(Limits {
+            max_connections: 1,
+            ..LIMITS
+        });
+        let addr = server.local_addr();
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream.write_all(b"{\"id\":1,\"ty").expect("writes");
+        drop(stream);
+        // The one connection slot comes back once the server sees the
+        // hang-up; until then a new client is turned away as busy.
+        for attempt in 0.. {
+            let stream = TcpStream::connect(addr).expect("connects");
+            let mut writer = stream.try_clone().expect("clones");
+            writer
+                .write_all(format!("{}\n", hello_line(3)).as_bytes())
+                .expect("writes");
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).expect("reads");
+            let response = Response::parse_line(line.trim_end()).expect("parses");
+            if response.id == 3 {
+                break;
+            }
+            assert!(attempt < 500, "slot never freed: {line}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_busy_until_others_close() {
+        let cap = 4;
+        let server = read_only_server(Limits {
+            max_connections: cap,
+            ..LIMITS
+        });
+        let addr = server.local_addr();
+        // A round trip on each proves the server counts it as open.
+        let held: Vec<(TcpStream, BufReader<TcpStream>)> = (0..cap)
+            .map(|i| {
+                let stream = TcpStream::connect(addr).expect("connects");
+                let mut writer = stream.try_clone().expect("clones");
+                let mut reader = BufReader::new(stream);
+                writer
+                    .write_all(format!("{}\n", hello_line(i)).as_bytes())
+                    .expect("writes");
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("reads");
+                assert!(line.contains("\"hello\""), "got: {line}");
+                (writer, reader)
+            })
+            .collect();
+        for _ in 0..3 {
+            let stream = TcpStream::connect(addr).expect("connects");
+            let reject = read_refusal(&mut BufReader::new(stream));
+            assert_eq!(reject.reason, "busy");
+            assert_eq!(reject.retry_after_secs, Some(BUSY_RETRY_SECS));
+        }
+        assert_eq!(
+            server.connections(),
+            cap,
+            "refused connections are not served"
+        );
+        drop(held);
+        for attempt in 0.. {
+            let stream = TcpStream::connect(addr).expect("connects");
+            let mut writer = stream.try_clone().expect("clones");
+            writer
+                .write_all(format!("{}\n", hello_line(5)).as_bytes())
+                .expect("writes");
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).expect("reads");
+            if line.contains("\"hello\"") {
+                break;
+            }
+            assert!(line.contains("busy"), "got: {line}");
+            assert!(attempt < 500, "never served again");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.shutdown();
     }
 
     #[test]
